@@ -186,25 +186,32 @@ type Instr struct {
 }
 
 // Uses returns the registers read by the instruction.
-func (in *Instr) Uses() []Reg {
-	var u []Reg
-	add := func(r Reg) {
-		if r != None {
-			u = append(u, r)
-		}
-	}
+func (in *Instr) Uses() []Reg { return in.AppendUses(nil) }
+
+// AppendUses appends the registers read by the instruction to dst and
+// returns the extended slice, leaving dst's existing elements alone. It
+// is the single definition of which registers an op reads: Uses wraps
+// it, and the timing simulator flattens it into per-instruction spans
+// once per trace instead of allocating on every dynamic event.
+func (in *Instr) AppendUses(dst []Reg) []Reg {
 	switch in.Op {
 	case Const, AddrGlobal, AddrLocal, NewObj, WaitScalar, WaitMemAddr, WaitMemVal, Br, SignalMemNull:
 		// no register uses
 	case Call:
 		for _, a := range in.Args {
-			add(a)
+			if a != None {
+				dst = append(dst, a)
+			}
 		}
 	default:
-		add(in.A)
-		add(in.B)
+		if in.A != None {
+			dst = append(dst, in.A)
+		}
+		if in.B != None {
+			dst = append(dst, in.B)
+		}
 	}
-	return u
+	return dst
 }
 
 // HasDst reports whether the instruction writes a destination register.

@@ -100,15 +100,18 @@ func simulateSeqSharded(in Input) *Result {
 
 	// Phase B: time every unit independently on a scoreboard-only
 	// machine. No error path: fn is total, so Map can only fail via
-	// panic, which it propagates.
+	// panic, which it propagates. The use spans are read-only, so every
+	// unit machine shares one table.
+	spans := newUseSpans(code)
 	_ = parallel.Map(context.Background(), in.Workers, len(units), func(_ context.Context, i int) error {
 		u := units[i]
 		um := &machine{
-			in:   in,
-			cfg:  in.Mach,
-			pol:  in.Policy,
-			code: code,
-			lat:  &replayLatencies{lats: u.lats},
+			in:    in,
+			cfg:   in.Mach,
+			pol:   in.Policy,
+			code:  code,
+			spans: spans,
+			lat:   &replayLatencies{lats: u.lats},
 			res: &Result{
 				Policy:     in.Policy.Name,
 				Machine:    in.Mach,
