@@ -17,6 +17,7 @@ import (
 	"sync"
 	"testing"
 
+	"tlssync/internal/racedetect"
 	"tlssync/internal/sim"
 )
 
@@ -325,6 +326,45 @@ func BenchmarkSimulator(b *testing.B) {
 		sim.Simulate(sim.Input{Trace: tr, Policy: sim.PolicyU()})
 	}
 	b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+}
+
+// TestSimulatePerEventAllocBudget is the simulator's allocation budget,
+// counted per trace event on real compiled workloads. With the run and
+// frame pools warm, a simulation may allocate only per-simulation state
+// (machine, result, use spans, region bookkeeping) and must allocate
+// nothing per event or per stalled cycle. A slice built per operand
+// check, or a map entry per register write, costs several allocations
+// per event and overshoots the budget by orders of magnitude. See
+// docs/perf.md for the budget table.
+func TestSimulatePerEventAllocBudget(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const budget = 0.01 // allocs per event
+	for _, name := range []string{"parser", "gzip_comp"} {
+		w, err := Benchmark(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := NewRun(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, label := range []string{"U", "C", "H", "B", "P"} {
+			tr, err := run.traceFor(run.binaryFor(label))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := sim.Input{Trace: tr, Policy: run.policyFor(label)}
+			sim.Simulate(in) // warm the pools
+			perEvent := testing.AllocsPerRun(2, func() { sim.Simulate(in) }) / float64(tr.Events())
+			t.Logf("%s/%s: %.5f allocs/event over %d events", name, label, perEvent, tr.Events())
+			if perEvent > budget {
+				t.Errorf("%s/%s: simulating allocates %.4f objects/event, budget %g — the simulator allocates on its per-event path (see docs/perf.md)",
+					name, label, perEvent, budget)
+			}
+		}
+	}
 }
 
 // BenchmarkAblationOptimizer measures the effect of the classical scalar

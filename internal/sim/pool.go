@@ -11,12 +11,13 @@ import (
 // dozen policies, and every epoch of every region instance materializes
 // one epochRun (five maps + a frame scoreboard); call-heavy epochs add
 // one frameSB per dynamic call. Both are recycled here. The put side
-// clears every map and resets every scalar field, so a pooled object is
-// indistinguishable from a freshly allocated one — which is also what
-// keeps simulation deterministic under pooling, and what
-// pool_test.go's contamination tests pin down. sync.Pool is shared
-// across concurrently running machines (parallel variant simulation);
-// it is safe for that because no object is ever put while referenced.
+// clears every map and scoreboard slice and resets every scalar field,
+// so a pooled object is indistinguishable from a freshly allocated one
+// — which is also what keeps simulation deterministic under pooling,
+// and what pool_test.go's contamination tests pin down. sync.Pool is
+// shared across concurrently running machines (parallel variant
+// simulation); it is safe for that because no object is ever put while
+// referenced.
 
 var runPool sync.Pool
 
@@ -70,11 +71,11 @@ func putRun(run *epochRun) {
 
 var framePool sync.Pool
 
-// getFrameSB returns a frame scoreboard with an empty ready map.
+// getFrameSB returns a frame scoreboard with no register written.
 func getFrameSB(base int64, callDst ir.Reg) *frameSB {
 	f, _ := framePool.Get().(*frameSB)
 	if f == nil {
-		f = &frameSB{ready: make(map[ir.Reg]int64)}
+		f = &frameSB{}
 	}
 	f.base, f.callDst = base, callDst
 	return f
@@ -82,6 +83,6 @@ func getFrameSB(base int64, callDst ir.Reg) *frameSB {
 
 // putFrameSB recycles a popped frame scoreboard.
 func putFrameSB(f *frameSB) {
-	clear(f.ready)
+	f.reset()
 	framePool.Put(f)
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"tlssync/internal/ir"
-	"tlssync/internal/racedetect"
 	"tlssync/internal/trace"
 )
 
@@ -12,6 +11,37 @@ import (
 // internal/interp/pool_test.go: dirty an object, recycle it, re-acquire
 // it, and assert it is indistinguishable from a fresh allocation. This
 // is the invariant that keeps simulation deterministic under pooling.
+//
+// The register scoreboard is a dense slice grown on write, so it has a
+// failure mode a map did not: a reset that truncates without clearing
+// leaves a stale readiness cycle in the spare capacity, and a later
+// write that regrows the slice over it resurrects the stale value.
+// dirtyReg is that high register; every reset path is checked for it.
+const dirtyReg ir.Reg = 40
+
+// assertUnset fails unless r reads as never written in f: an operand
+// check would see only the frame's base cycle.
+func assertUnset(t *testing.T, what string, f *frameSB, r ir.Reg) {
+	t.Helper()
+	if got := f.readyAt(r); got != 0 {
+		t.Errorf("%s: r%d reads ready at %d, want unset (base %d)", what, r, got, f.base)
+	}
+	for i, v := range f.ready[len(f.ready):cap(f.ready)] {
+		if v != 0 {
+			t.Errorf("%s: spare scoreboard slot r%d holds %d, want 0", what, len(f.ready)+i, v)
+		}
+	}
+}
+
+// regrow writes r1, then a register past dirtyReg, so the slice grows
+// back over the slot dirtyReg occupied before the reset.
+func regrow(t *testing.T, what string, f *frameSB) {
+	t.Helper()
+	f.setReady(1, f.base+1)
+	assertUnset(t, what+" after writing r1", f, dirtyReg)
+	f.setReady(dirtyReg+7, f.base+2)
+	assertUnset(t, what+" after regrowing past r40", f, dirtyReg)
+}
 
 // dirtyRun fills every recyclable field of an epochRun with junk.
 func dirtyRun(run *epochRun) {
@@ -33,7 +63,9 @@ func dirtyRun(run *epochRun) {
 	run.scalarWait, run.memWait, run.hwWait = 1, 2, 3
 	run.span = &EpochSpan{}
 	run.frames = append(run.frames, getFrameSB(99, 3))
-	run.frames[0].ready[7] = 1234
+	run.frames[0].setReady(7, 1234)
+	run.frames[0].setReady(dirtyReg, 4321)
+	run.frames[1].setReady(dirtyReg, 5678)
 }
 
 func TestRunPoolNoContamination(t *testing.T) {
@@ -70,15 +102,18 @@ func TestRunPoolNoContamination(t *testing.T) {
 	if len(got.frames) != 1 {
 		t.Fatalf("recycled run has %d frames, want exactly the base frame", len(got.frames))
 	}
-	if f := got.frames[0]; len(f.ready) != 0 || f.base != 0 || f.callDst != ir.None {
+	f := got.frames[0]
+	if len(f.ready) != 0 || f.base != 0 || f.callDst != ir.None {
 		t.Errorf("recycled run's base frame leaked: ready=%v base=%d callDst=%v", f.ready, f.base, f.callDst)
 	}
+	regrow(t, "recycled run's base frame", f)
 }
 
 func TestFramePoolNoContamination(t *testing.T) {
 	f := getFrameSB(50, 2)
-	f.ready[1] = 99
-	f.ready[2] = 100
+	f.setReady(1, 99)
+	f.setReady(2, 100)
+	f.setReady(dirtyReg, 101)
 	putFrameSB(f)
 
 	got := getFrameSB(7, ir.None)
@@ -88,31 +123,29 @@ func TestFramePoolNoContamination(t *testing.T) {
 	if got.base != 7 || got.callDst != ir.None {
 		t.Errorf("getFrameSB did not apply requested state: base=%d callDst=%v", got.base, got.callDst)
 	}
+	regrow(t, "recycled frame", got)
 }
 
-// TestSimulateAllocBudget is the allocation-budget regression test for
-// the simulator's scoreboard path: with the run and frame pools warm,
-// re-simulating a fixed trace must stay within a small per-epoch
-// allocation budget rather than reallocating five maps per epoch. See
-// docs/perf.md for the budget rationale.
-func TestSimulateAllocBudget(t *testing.T) {
-	if racedetect.Enabled {
-		t.Skip("allocation counts are not meaningful under -race")
-	}
-	p := newSynthProg()
-	epochs := make([][]trace.Event, 8)
-	for i := range epochs {
-		evs := filler(p, 50)
-		evs = append(evs, mkEvent(p, ir.Store, 0x20000+int64(i)*256, int64(i), ir.None, 0, 1))
-		epochs[i] = evs
-	}
-	tr := synthTrace(p, epochs...)
-	run := func() { Simulate(Input{Trace: tr, Policy: PolicyU()}) }
-	run() // warm the pools
+// TestRestartForgetsBaseFrameRegisters checks the other reset path: a
+// squash keeps the run's base frame in place and clears it for replay,
+// so a register the squashed attempt wrote must not survive into it.
+func TestRestartForgetsBaseFrameRegisters(t *testing.T) {
+	m := &machine{res: &Result{ViolByKind: make(map[string]int64)}}
+	run := m.newRun(&trace.Epoch{Index: 0}, 0)
+	run.frames[0].setReady(1, 3)
+	run.frames[0].setReady(dirtyReg, 900)
+	run.frames = append(run.frames, getFrameSB(10, 1))
+	run.frames[1].setReady(dirtyReg, 950)
 
-	const budget = 120 // per simulation of 8 epochs: machine + result + pool misses
-	allocs := testing.AllocsPerRun(50, run)
-	if allocs > budget {
-		t.Errorf("simulating 8 epochs allocates %.0f objects/run, budget %d — the scoreboard pools regressed (see docs/perf.md)", allocs, budget)
+	m.cycle = 20
+	m.restart(run)
+	if len(run.frames) != 1 {
+		t.Fatalf("restarted run has %d frames, want exactly the base frame", len(run.frames))
 	}
+	base := run.frames[0]
+	if len(base.ready) != 0 || base.base != 20 || base.callDst != ir.None {
+		t.Errorf("restarted base frame: ready=%v base=%d callDst=%v, want empty at base 20", base.ready, base.base, base.callDst)
+	}
+	regrow(t, "restarted base frame", base)
+	putRun(run)
 }

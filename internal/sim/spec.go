@@ -186,7 +186,7 @@ func (m *machine) restart(victim *epochRun) {
 		putFrameSB(popped)
 	}
 	base := victim.frames[0]
-	clear(base.ready)
+	base.reset()
 	base.base, base.callDst = m.cycle, ir.None
 	clear(victim.loadLines)
 	clear(victim.storeLines)
