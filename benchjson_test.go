@@ -69,8 +69,10 @@ func TestBenchJSON(t *testing.T) {
 	record("build/j4", func(b *testing.B) { benchBuild(b, names[0], 4) }, "build/j1")
 
 	// Per-stage allocation metrics (bytes/op, allocs/op) so a regression
-	// can be attributed to the stage that caused it; the budgets these
-	// trend against live in allocbudget_test.go and docs/perf.md.
+	// can be attributed to the stage that caused it. The budgets these
+	// trend against are the *AllocBudget tests listed in docs/perf.md:
+	// trace/alloc_test.go, interp/mempool_test.go, ir/arena_test.go and,
+	// for stage/sim, TestSimulatePerEventAllocBudget in bench_test.go.
 	record("stage/compile", func(b *testing.B) { benchStageCompile(b, names[0]) }, "")
 	record("stage/clone", func(b *testing.B) { benchStageClone(b, names[0]) }, "")
 	record("stage/trace", func(b *testing.B) { benchStageTrace(b, names[0]) }, "")

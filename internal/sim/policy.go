@@ -55,14 +55,6 @@ type Policy struct {
 	// use-forwarded-value flag); channels below 10% usefulness after a
 	// warm-up of 16 waits stop stalling.
 	FilterSync bool
-
-	// CompilerHints implements the paper's §4.2 hybrid-enhancement
-	// suggestion (iv): "for the hardware to reset a violating load less
-	// frequently if the compiler hints that it will occur frequently".
-	// Loads in CompilerMarks become sticky in the violation-history
-	// table: the periodic reset spares them, so known-frequent
-	// dependences stay synchronized while incidental ones still age out.
-	CompilerHints bool
 }
 
 // syncFilter tracks per-channel forwarding usefulness for FilterSync.
@@ -125,15 +117,13 @@ func PolicyB() Policy { return Policy{Name: "B", HWSync: true} }
 // hwTable is the violation-history table: an LRU set of load PCs that
 // caused violations, with periodic reset (paper §4.2: "we periodically
 // reset the table ... to avoid over-synchronization of
-// infrequently-dependent loads"). When CompilerHints is active, sticky
-// PCs (compiler-marked loads) survive the reset.
+// infrequently-dependent loads").
 type hwTable struct {
 	size   int
 	tick   int64
 	lru    map[int]int64 // pc -> last touch
 	resetN int           // committed epochs between resets
 	count  int           // committed epochs since last reset
-	sticky map[int]bool  // compiler-hinted PCs spared by resets
 }
 
 func newHWTable(size, resetEpochs int) *hwTable {
@@ -170,19 +160,12 @@ func (t *hwTable) contains(pc int) bool {
 	return false
 }
 
-// epochCommitted advances the periodic-reset clock. Sticky (hinted) PCs
-// survive the reset.
+// epochCommitted advances the periodic-reset clock.
 func (t *hwTable) epochCommitted() {
 	t.count++
 	if t.resetN > 0 && t.count >= t.resetN {
 		t.count = 0
-		fresh := make(map[int]int64)
-		for pc := range t.sticky {
-			if when, ok := t.lru[pc]; ok {
-				fresh[pc] = when
-			}
-		}
-		t.lru = fresh
+		clear(t.lru)
 	}
 }
 

@@ -521,53 +521,6 @@ func main() {
 	}
 }
 
-func TestCompilerHintsStickyTableEntries(t *testing.T) {
-	tb := newHWTable(8, 3)
-	tb.sticky = map[int]bool{7: true}
-	tb.record(7)
-	tb.record(9)
-	for i := 0; i < 3; i++ {
-		tb.epochCommitted()
-	}
-	if !tb.contains(7) {
-		t.Error("hinted PC lost in reset")
-	}
-	if tb.contains(9) {
-		t.Error("unhinted PC survived reset")
-	}
-}
-
-func TestCompilerHintsPolicy(t *testing.T) {
-	// On a bursty dependence, plain H forgets the load at every reset and
-	// pays a fresh violation per burst; hints keep the entry pinned.
-	p := newSynthProg()
-	ld := p.NewInstr(ir.Load)
-	ld.Dst, ld.A = 2, 0
-	st := p.NewInstr(ir.Store)
-	st.A, st.B = 0, 1
-	const addr = 0x20000
-	var epochs [][]trace.Event
-	for i := 0; i < 200; i++ {
-		var evs []trace.Event
-		evs = append(evs, evFor(ld, addr, int64(i)))
-		evs = append(evs, filler(p, 30)...)
-		evs = append(evs, evFor(st, addr, int64(i+1)))
-		epochs = append(epochs, evs)
-	}
-	marks := map[int]bool{ld.Origin: true}
-	mach := DefaultMachine()
-	mach.HWResetEpochs = 8
-
-	plainH := Simulate(Input{Trace: synthTrace(p, epochs...),
-		Policy: Policy{Name: "H", HWSync: true, CompilerMarks: marks}, Mach: mach})
-	hinted := Simulate(Input{Trace: synthTrace(p, epochs...),
-		Policy: Policy{Name: "H+hint", HWSync: true, CompilerMarks: marks, CompilerHints: true}, Mach: mach})
-	if hinted.Violations >= plainH.Violations {
-		t.Errorf("hints should cut post-reset violations: %d vs %d",
-			hinted.Violations, plainH.Violations)
-	}
-}
-
 func TestTimelineCollection(t *testing.T) {
 	p := newSynthProg()
 	const addr = 0x20000
