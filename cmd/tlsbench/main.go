@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -39,30 +38,10 @@ func main() {
 	bench := flag.String("bench", "", "restrict to one benchmark by name")
 	format := flag.String("format", "text", "output format for bar figures: text or csv")
 	workers := flag.Int("j", runtime.NumCPU(), "max concurrent compilations/simulations")
-	buildJ := flag.Int("buildj", 1, "additional CPUs inside each benchmark's compile/baseline (use when preparing few benchmarks on many cores; artifacts are identical at any value)")
 	quiet := flag.Bool("q", false, "suppress per-(benchmark, policy) progress on stderr")
 	seed := flag.Uint64("seed", 1, "root seed for -synth workload generation")
 	synth := flag.Int("synth", 0, "replace the benchmark set with this many seeded synthetic workloads")
-	daemon := flag.String("daemon", "", "drive a running tlsd over HTTP (base URL) instead of simulating in-process")
-	policies := flag.String("policy", "C", "daemon mode: comma-separated policy labels to request")
-	retries := flag.Int("retries", 4, "daemon mode: retry budget per request (429/503/transient 5xx back off and re-issue)")
-	retryBase := flag.Duration("retry-base", 50*time.Millisecond, "daemon mode: first backoff delay")
-	retryCap := flag.Duration("retry-cap", 2*time.Second, "daemon mode: per-delay backoff ceiling")
 	flag.Parse()
-
-	if *daemon != "" {
-		var benches []string
-		if *bench != "" {
-			benches = []string{*bench}
-		}
-		var pols []string
-		for _, p := range strings.Split(*policies, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				pols = append(pols, p)
-			}
-		}
-		os.Exit(runDaemon(*daemon, benches, pols, *workers, *retries, *retryBase, *retryCap, *quiet))
-	}
 
 	if *table == "1" {
 		fmt.Print(tlssync.MachineTable1())
@@ -87,7 +66,7 @@ func main() {
 		ws := tlssync.SynthBenchmarks(*seed, *synth)
 		progress("compiling and baselining %d synthetic workloads (seed %d, -j %d)...\n", len(ws), *seed, eng.Workers())
 		var err error
-		runs, err = tlssync.PrepareWorkloads(ctx, eng, ws, *buildJ, func(bench string, d time.Duration, err error) {
+		runs, err = tlssync.PrepareWorkloads(ctx, eng, ws, 1, func(bench string, d time.Duration, err error) {
 			if err == nil {
 				progress("prepared %-24s %8s\n", bench, d.Round(time.Millisecond))
 			}
@@ -108,7 +87,7 @@ func main() {
 	default:
 		var err error
 		progress("compiling and baselining 15 benchmarks (-j %d)...\n", eng.Workers())
-		runs, err = tlssync.PrepareAllJ(ctx, eng, *buildJ, func(bench string, d time.Duration, err error) {
+		runs, err = tlssync.PrepareAllJ(ctx, eng, 1, func(bench string, d time.Duration, err error) {
 			if err == nil {
 				progress("prepared %-12s %8s\n", bench, d.Round(time.Millisecond))
 			}

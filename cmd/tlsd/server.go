@@ -28,8 +28,7 @@ import (
 
 // config wires the daemon's knobs.
 type config struct {
-	workers      int // job-engine worker pool size (<=0: NumCPU)
-	buildWorkers int // CPUs inside each compile/baseline job (<=1: serial)
+	workers int // job-engine worker pool size (<=0: NumCPU)
 
 	storeCap   int      // in-memory store capacity (<=0: default)
 	cacheDir   string   // on-disk store layer ("" = memory only)
@@ -421,7 +420,7 @@ func (s *server) run(ctx context.Context, name string) (*tlssync.Run, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown benchmark %q", name)
 		}
-		r, err := tlssync.NewRunWithWorkers(w, s.cfg.buildWorkers)
+		r, err := tlssync.NewRun(w)
 		if err != nil {
 			return nil, err
 		}

@@ -27,22 +27,16 @@ type Figure struct {
 // (compilation and baselining are independent per benchmark; the
 // per-benchmark pipeline itself stays deterministic).
 func PrepareAll() ([]*Run, error) {
-	return PrepareAllWith(context.Background(), jobs.New(0), nil)
+	return PrepareAllJ(context.Background(), jobs.New(0), 1, nil)
 }
 
-// PrepareAllWith compiles and baselines every benchmark through the job
+// PrepareAllJ compiles and baselines every benchmark through the job
 // engine, so compilation parallelism is bounded by the engine's worker
 // pool and concurrent callers preparing the same benchmark coalesce.
-// progress (optional) is invoked once per completed benchmark.
-func PrepareAllWith(ctx context.Context, eng *jobs.Engine, progress func(bench string, d time.Duration, err error)) ([]*Run, error) {
-	return PrepareAllJ(ctx, eng, 1, progress)
-}
-
-// PrepareAllJ is PrepareAllWith with intra-build parallelism: each
-// benchmark's compile/baseline additionally uses up to buildWorkers
-// CPUs (NewRunWithWorkers). Cross-benchmark parallelism still comes
-// from the engine's pool; buildWorkers > 1 mainly helps when preparing
-// few benchmarks on many cores.
+// Each benchmark's compile/baseline additionally uses up to
+// buildWorkers CPUs (NewRunWithWorkers); buildWorkers > 1 mainly helps
+// when preparing few benchmarks on many cores. progress (optional) is
+// invoked once per completed benchmark.
 func PrepareAllJ(ctx context.Context, eng *jobs.Engine, buildWorkers int, progress func(bench string, d time.Duration, err error)) ([]*Run, error) {
 	return PrepareWorkloads(ctx, eng, Benchmarks(), buildWorkers, progress)
 }

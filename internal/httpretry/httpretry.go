@@ -3,12 +3,12 @@
 // admission queue is full, answers 503 while draining, and a cluster
 // node answers 503 while peer views converge after a failure — all of
 // which mean "come back shortly", not "the work failed". This package
-// gives every HTTP client in the repo (tlsbench's daemon mode, the
-// tlssim scenario fleet) one shared retry discipline: honor the
-// server's Retry-After when it names one, otherwise back off
-// exponentially with jitter, retry transient 5xx and transport
-// failures, and give up after a bounded number of attempts so a truly
-// dead service fails fast instead of hanging a fleet.
+// gives the repo's HTTP clients (the tlssim scenario fleet) one shared
+// retry discipline: honor the server's Retry-After when it names one,
+// otherwise back off exponentially with jitter, retry transient 5xx
+// and transport failures, and give up after a bounded number of
+// attempts so a truly dead service fails fast instead of hanging a
+// fleet.
 package httpretry
 
 import (

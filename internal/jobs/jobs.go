@@ -104,17 +104,6 @@ type Stats struct {
 	Stages map[string]StageStat `json:"stages,omitempty"`
 }
 
-// AvgTime returns the mean execution wall time over the executions
-// that actually ran. Executions that fail before acquiring a worker
-// slot record no duration and are excluded — dividing by
-// Completed+Failed would skew the mean low under cancellation churn.
-func (s Stats) AvgTime() time.Duration {
-	if s.TimedRuns == 0 {
-		return 0
-	}
-	return s.TotalTime / time.Duration(s.TimedRuns)
-}
-
 // New returns an engine with the given worker-pool size; workers <= 0
 // selects runtime.NumCPU().
 func New(workers int) *Engine {
