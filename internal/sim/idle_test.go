@@ -1,0 +1,50 @@
+package sim
+
+import (
+	"testing"
+
+	"tlssync/internal/ir"
+	"tlssync/internal/trace"
+)
+
+// missChain returns n loads, each addressed by the previous one's result
+// and each touching a fresh line, so every one misses to memory and
+// nothing can issue until it returns.
+func missChain(p *synthProg, n int, base int64) []trace.Event {
+	out := make([]trace.Event, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, mkEvent(p, ir.Load, base+int64(i)*4096, 0, 1, 1))
+	}
+	return out
+}
+
+// TestIdleCycleIterationBudget pins idle-cycle skipping: simulation-loop
+// iterations must scale with events, not with cycles. The trace is all
+// memory stalls — a sequential chain of dependent misses, then a region
+// whose epochs each run such a chain — so a loop that steps every cycle
+// takes about MemLat (75) iterations per event.
+func TestIdleCycleIterationBudget(t *testing.T) {
+	p := newSynthProg()
+	const seqLoads, epochs, epochLoads = 200, 8, 50
+	ri := &trace.RegionInstance{RegionID: 0}
+	for i := 0; i < epochs; i++ {
+		ri.Epochs = append(ri.Epochs, &trace.Epoch{Index: i, Events: missChain(p, epochLoads, 0x100000+int64(i)<<20)})
+	}
+	tr := &trace.ProgramTrace{Segments: []trace.Segment{
+		{Seq: missChain(p, seqLoads, 0x10000000)},
+		{Region: ri},
+	}}
+	tr.Code = p.code()
+
+	m := newMachine(Input{Trace: tr, Policy: PolicyU()})
+	m.run()
+	events := int64(tr.Events())
+	if m.res.TotalCycles < int64(m.cfg.MemLat)*seqLoads {
+		t.Fatalf("%d cycles: the chain did not miss to memory (MemLat %d)", m.res.TotalCycles, m.cfg.MemLat)
+	}
+	budget := 2*events + 100
+	t.Logf("%d iterations for %d events over %d cycles", m.iters, events, m.res.TotalCycles)
+	if m.iters > budget {
+		t.Errorf("%d loop iterations for %d events, budget %d: the simulator steps idle cycles one at a time", m.iters, events, budget)
+	}
+}
