@@ -18,7 +18,7 @@ import (
 // fingerprint covering everything the pipeline emits — the four
 // binaries' printed IR, region decisions, memsync summaries, verifier
 // reports, the simulated results of every policy-relevant binary, and
-// the sharded sequential baseline. Run it under -race to also catch
+// the sequential baseline. Run it under -race to also catch
 // unsynchronized sharing between the parallel stages.
 
 // diffWorkerCounts are the counts compared against the serial path.
@@ -63,12 +63,12 @@ func buildFingerprint(t *testing.T, cfg core.Config) string {
 	}
 
 	// Downstream: trace each binary and simulate the policies that read
-	// it, plus the (sharded) sequential baseline off the plain trace.
+	// it, plus the sequential baseline off the plain trace.
 	plainTr, err := b.Trace(b.Plain, cfg.RefInput)
 	if err != nil {
 		t.Fatalf("plain trace: %v", err)
 	}
-	seq := sim.SimulateSequentialRegions(sim.Input{Trace: plainTr, Workers: cfg.Workers})
+	seq := sim.SimulateSequentialRegions(sim.Input{Trace: plainTr})
 	sj, err := json.Marshal(seq)
 	if err != nil {
 		t.Fatal(err)

@@ -59,7 +59,7 @@ func putRun(run *epochRun) {
 	run.slots = Slots{}
 	run.finished = false
 	run.finishCycle, run.lastComplete, run.stallUntil = 0, 0, 0
-	run.stallSync, run.stallFail = false, false
+	run.stallFail = false
 	run.consumedGen = 0
 	run.sigBufPeak = 0
 	run.mispredicted, run.predictBan = false, false

@@ -49,7 +49,7 @@ func dirtyRun(run *epochRun) {
 	run.slots = Slots{Busy: 11, Fail: 13}
 	run.finished = true
 	run.finishCycle, run.lastComplete, run.stallUntil = 101, 102, 103
-	run.stallSync, run.stallFail = true, true
+	run.stallFail = true
 	run.loadLines[0x1000] = loadMark{}
 	run.storeLines[0x2000] = 9
 	run.storeWords[0x3000] = true
@@ -81,7 +81,7 @@ func TestRunPoolNoContamination(t *testing.T) {
 	if got.slots != (Slots{}) {
 		t.Errorf("recycled run leaked slot accounting: %+v", got.slots)
 	}
-	if got.finished || got.finishCycle != 0 || got.lastComplete != 0 || got.stallUntil != 0 || got.stallSync || got.stallFail {
+	if got.finished || got.finishCycle != 0 || got.lastComplete != 0 || got.stallUntil != 0 || got.stallFail {
 		t.Error("recycled run leaked stall/finish state")
 	}
 	if len(got.loadLines) != 0 || len(got.storeLines) != 0 || len(got.storeWords) != 0 {

@@ -82,7 +82,7 @@ type Run struct {
 	SeqProgram int64
 	SeqOutside int64 // sequential cycles outside regions
 
-	workers int // intra-run parallelism (trace fan-out, seq-baseline sharding)
+	workers int // intra-run parallelism (compile, trace fan-out)
 
 	mu     sync.Mutex            // guards traces, cache and stages
 	traces map[string]*traceCell // per-binary trace, computed once
@@ -115,8 +115,8 @@ func runConfig(w *Workload) core.Config {
 func NewRun(w *Workload) (*Run, error) { return NewRunWithWorkers(w, 1) }
 
 // NewRunWithWorkers is NewRun with intra-build parallelism: the compile
-// pipeline, the sequential-baseline sharding and an eager fan-out over
-// the per-binary traces all use up to workers CPUs. Every artifact is
+// pipeline and an eager fan-out over the per-binary traces use up to
+// workers CPUs. Every artifact is
 // byte-identical to the workers=1 path (the parallel_diff suites pin
 // this); only wall-clock time changes.
 func NewRunWithWorkers(w *Workload, workers int) (*Run, error) {
@@ -142,7 +142,7 @@ func NewRunWithWorkers(w *Workload, workers int) (*Run, error) {
 	//lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
 	r.noteStage("trace", time.Since(traceStart))
 	simStart := time.Now() //lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
-	seq := sim.SimulateSequentialRegions(sim.Input{Trace: plainTr, Workers: workers})
+	seq := sim.SimulateSequentialRegions(sim.Input{Trace: plainTr})
 	//lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
 	r.noteStage("sim", time.Since(simStart))
 	plainTr.Release() // the baseline is the plain trace's only consumer
