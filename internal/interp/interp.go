@@ -83,7 +83,7 @@ type interp struct {
 
 	// Trace assembly.
 	tr        *trace.ProgramTrace
-	seq       []trace.Event
+	seq       trace.Events
 	regionIns *trace.RegionInstance
 	epoch     *trace.Epoch
 	epochOrd  int // ordinal of the current epoch within the region instance
@@ -356,7 +356,7 @@ func (it *interp) exitRegion() {
 		// the epoch's events here.
 		if n := len(it.regionIns.Epochs); !it.epochImpure && n > 0 {
 			last := it.regionIns.Epochs[n-1]
-			last.Events = append(last.Events, it.epoch.Events...)
+			last.Events.AppendAll(it.epoch.Events)
 			trace.PutEvents(it.epoch.Events) // merged by copy; recycle the source
 		} else {
 			it.regionIns.Epochs = append(it.regionIns.Epochs, it.epoch)
@@ -369,20 +369,20 @@ func (it *interp) exitRegion() {
 }
 
 func (it *interp) flushSeq() {
-	if len(it.seq) > 0 {
+	if it.seq.Len() > 0 {
 		it.tr.Segments = append(it.tr.Segments, trace.Segment{Seq: it.seq})
-		it.seq = nil
+		it.seq = trace.Events{}
 	}
 }
 
 func (it *interp) emit(ev trace.Event) {
 	if it.curRegion != nil {
-		it.epoch.Events = append(it.epoch.Events, ev)
+		it.epoch.Events.Append(ev)
 	} else {
-		if it.seq == nil {
+		if it.seq.Ops == nil {
 			it.seq = trace.GetEvents()
 		}
-		it.seq = append(it.seq, ev)
+		it.seq.Append(ev)
 	}
 }
 

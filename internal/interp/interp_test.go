@@ -366,7 +366,7 @@ func main() {
 		}
 		for _, e := range s.Region.Epochs[:4] {
 			loads, stores := 0, 0
-			for _, ev := range e.Events {
+			for _, ev := range decoded(e.Events) {
 				switch tr.Code[ev.SI].Op {
 				case ir.Load:
 					if ev.Addr == gAddr {
@@ -461,7 +461,7 @@ func main() {
 		}
 		for _, e := range s.Region.Epochs {
 			depth := 0
-			for _, ev := range e.Events {
+			for _, ev := range decoded(e.Events) {
 				switch tr.Code[ev.SI].Op {
 				case ir.Call:
 					depth++
@@ -500,7 +500,7 @@ func main() {
 			continue
 		}
 		for _, e := range s.Region.Epochs {
-			for _, ev := range e.Events {
+			for _, ev := range decoded(e.Events) {
 				if tr.Code[ev.SI].Op.IsMemAccess() && ir.IsStackAddr(ev.Addr) {
 					sawStack = true
 				}

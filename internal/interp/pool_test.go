@@ -37,20 +37,28 @@ func traceOf(t *testing.T, input []int64) *trace.ProgramTrace {
 	return tr
 }
 
+// decoded returns a stream's events, decoded into a fresh slice.
+func decoded(evs trace.Events) []trace.Event {
+	out := make([]trace.Event, 0, evs.Len())
+	for i, d := 0, 0; i < evs.Len(); i++ {
+		var ev trace.Event
+		ev, d = evs.Decode(i, d)
+		out = append(out, ev)
+	}
+	return out
+}
+
 // snapshot deep-copies a trace's events so later mutation of the
 // originals is detectable.
 func snapshot(tr *trace.ProgramTrace) [][]trace.Event {
 	var out [][]trace.Event
-	cp := func(evs []trace.Event) {
-		out = append(out, append([]trace.Event(nil), evs...))
-	}
 	for _, s := range tr.Segments {
-		if s.Seq != nil {
-			cp(s.Seq)
+		if s.Seq.Len() > 0 {
+			out = append(out, decoded(s.Seq))
 		}
 		if s.Region != nil {
 			for _, e := range s.Region.Epochs {
-				cp(e.Events)
+				out = append(out, decoded(e.Events))
 			}
 		}
 	}

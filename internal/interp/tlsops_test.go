@@ -165,7 +165,7 @@ func TestWaitMemReceivesPreviousEpochSignal(t *testing.T) {
 	}
 	gAddr := p.GlobalMap["g"].Addr
 	for _, e := range eventsOf(t, tr) {
-		for _, ev := range e.Events {
+		for _, ev := range decoded(e.Events) {
 			if tr.Code[ev.SI].Op == ir.WaitMemAddr && e.Index > 0 {
 				if ev.Addr != gAddr {
 					t.Errorf("epoch %d: forwarded addr %#x, want %#x", e.Index, ev.Addr, gAddr)
@@ -196,7 +196,7 @@ func TestEpochZeroWaitSeesNull(t *testing.T) {
 		t.Fatal(err)
 	}
 	epochs := eventsOf(t, tr)
-	for _, ev := range epochs[0].Events {
+	for _, ev := range decoded(epochs[0].Events) {
 		if tr.Code[ev.SI].Op == ir.WaitMemAddr {
 			if ev.Flags&trace.FlagNullSignal == 0 {
 				t.Error("epoch 0 wait should carry the NULL flag")
@@ -245,7 +245,7 @@ func TestUFFSetOnAddressMatch(t *testing.T) {
 	epochs := eventsOf(t, tr)
 	// Every epoch after the first must run its LoadSync with UFF set.
 	for _, e := range epochs[1:] {
-		for _, ev := range e.Events {
+		for _, ev := range decoded(e.Events) {
 			if tr.Code[ev.SI].Op == ir.LoadSync {
 				if ev.Flags&trace.FlagUFF == 0 {
 					t.Errorf("epoch %d: UFF not set on matching forward", e.Index)
@@ -299,7 +299,7 @@ func TestUFFClearedOnAddressMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range eventsOf(t, tr) {
-		for _, ev := range e.Events {
+		for _, ev := range decoded(e.Events) {
 			if tr.Code[ev.SI].Op == ir.LoadSync && ev.Flags&trace.FlagUFF != 0 {
 				t.Errorf("epoch %d: UFF set despite address mismatch", e.Index)
 			}
@@ -342,7 +342,7 @@ func TestUFFClearedByLocalOverwrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range eventsOf(t, tr) {
-		for _, ev := range e.Events {
+		for _, ev := range decoded(e.Events) {
 			if tr.Code[ev.SI].Op == ir.LoadSync {
 				if ev.Flags&trace.FlagUFF != 0 {
 					t.Errorf("epoch %d: UFF survived a local overwrite", e.Index)
@@ -389,7 +389,7 @@ func TestStaleFlagOnPostSignalStore(t *testing.T) {
 	epochs := eventsOf(t, tr)
 	staleSeen := false
 	for _, e := range epochs[1:] {
-		for _, ev := range e.Events {
+		for _, ev := range decoded(e.Events) {
 			if tr.Code[ev.SI].Op == ir.WaitMemAddr && ev.Flags&trace.FlagStale != 0 {
 				staleSeen = true
 			}
@@ -428,7 +428,7 @@ func TestScalarSignalWaitRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range eventsOf(t, tr) {
-		for _, ev := range e.Events {
+		for _, ev := range decoded(e.Events) {
 			if tr.Code[ev.SI].Op == ir.WaitScalar && ev.Val != int64(e.Index) {
 				t.Errorf("epoch %d: wait.s = %d, want %d", e.Index, ev.Val, e.Index)
 			}

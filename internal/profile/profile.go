@@ -254,8 +254,8 @@ func Analyze(tr *trace.ProgramTrace) *Profile {
 	p := &Profile{Regions: make(map[int]*RegionProfile)}
 	for _, seg := range tr.Segments {
 		if seg.Region == nil {
-			p.SeqEvents += int64(len(seg.Seq))
-			p.TotalEvents += int64(len(seg.Seq))
+			p.SeqEvents += int64(seg.Seq.Len())
+			p.TotalEvents += int64(seg.Seq.Len())
 			continue
 		}
 		ri := seg.Region
@@ -272,8 +272,8 @@ func Analyze(tr *trace.ProgramTrace) *Profile {
 		rp.Instances++
 		analyzeInstance(ri, rp, tr.Code)
 		for _, e := range ri.Epochs {
-			rp.Events += int64(len(e.Events))
-			p.TotalEvents += int64(len(e.Events))
+			rp.Events += int64(e.Events.Len())
+			p.TotalEvents += int64(e.Events.Len())
 		}
 		rp.Epochs += len(ri.Epochs)
 	}
@@ -300,7 +300,9 @@ func analyzeInstance(ri *trace.RegionInstance, rp *RegionProfile, code ir.Code) 
 		clear(loadSeen)
 		clear(instrSeen)
 		stack = stack[:0]
-		for _, ev := range e.Events {
+		for i, d := 0, 0; i < e.Events.Len(); i++ {
+			var ev trace.Event
+			ev, d = e.Events.Decode(i, d)
 			in := code[ev.SI]
 			switch in.Op {
 			case ir.Call:

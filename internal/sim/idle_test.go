@@ -28,10 +28,10 @@ func TestIdleCycleIterationBudget(t *testing.T) {
 	const seqLoads, epochs, epochLoads = 200, 8, 50
 	ri := &trace.RegionInstance{RegionID: 0}
 	for i := 0; i < epochs; i++ {
-		ri.Epochs = append(ri.Epochs, &trace.Epoch{Index: i, Events: missChain(p, epochLoads, 0x100000+int64(i)<<20)})
+		ri.Epochs = append(ri.Epochs, &trace.Epoch{Index: i, Events: encode(missChain(p, epochLoads, 0x100000+int64(i)<<20))})
 	}
 	tr := &trace.ProgramTrace{Segments: []trace.Segment{
-		{Seq: missChain(p, seqLoads, 0x10000000)},
+		{Seq: encode(missChain(p, seqLoads, 0x10000000))},
 		{Region: ri},
 	}}
 	tr.Code = p.code()

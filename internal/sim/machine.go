@@ -109,8 +109,10 @@ func (f *frameSB) reset() {
 // epochRun is the execution of one epoch on one CPU (possibly restarted).
 type epochRun struct {
 	epoch *trace.Epoch
-	idx   int // next event index
-	gen   int // incremented on every restart
+	idx   int         // next event index
+	di    int         // data cursor of event idx+1 (what decoding ev returned)
+	ev    trace.Event // event idx, decoded once per position (see decode)
+	gen   int         // incremented on every restart
 	cpu   int
 
 	frames []*frameSB
@@ -145,6 +147,29 @@ type epochRun struct {
 
 	// span records this epoch's lifetime when timelines are collected.
 	span *EpochSpan
+}
+
+// rewind positions the run at its first event.
+func (r *epochRun) rewind() {
+	r.idx, r.di = 0, 0
+	r.decode()
+}
+
+// advance moves the run past its current event.
+func (r *epochRun) advance() {
+	r.idx++
+	r.decode()
+}
+
+// done reports whether every event of the run has issued.
+func (r *epochRun) done() bool { return r.idx >= r.epoch.Events.Len() }
+
+// decode loads event idx into ev. It runs once per position, so a
+// stalled run re-checks the same ev every cycle without decoding again.
+func (r *epochRun) decode() {
+	if !r.done() {
+		r.ev, r.di = r.epoch.Events.Decode(r.idx, r.di)
+	}
 }
 
 type pcVal struct {
@@ -241,10 +266,10 @@ func (m *machine) run() {
 // ---------------------------------------------------------------------------
 // Sequential segments: one CPU, no speculation, sync ops are unit-latency.
 
-func (m *machine) runSequential(events []trace.Event) {
+func (m *machine) runSequential(events trace.Events) {
 	run := m.newRun(&trace.Epoch{Events: events}, 0)
 	start := m.cycle
-	for run.idx < len(run.epoch.Events) {
+	for !run.done() {
 		m.iters++
 		// Only issue changes state here (no per-cycle slot charges, and
 		// the cache is touched at issue), so the cycles before the
@@ -263,14 +288,14 @@ func (m *machine) runSequential(events []trace.Event) {
 // returns the cycle the event that stopped it becomes ready, or 0 when
 // it stopped on issue width or the end of the segment.
 func (m *machine) stepSequential(run *epochRun) int64 {
-	for issued := 0; issued < m.cfg.IssueWidth && run.idx < len(run.epoch.Events); issued++ {
-		ev := &run.epoch.Events[run.idx]
+	for issued := 0; issued < m.cfg.IssueWidth && !run.done(); issued++ {
+		ev := &run.ev
 		if t := m.operandsReady(run, ev); t > m.cycle {
 			return t
 		}
 		lat := m.execLatency(run, ev)
 		m.completeEvent(run, ev, lat)
-		run.idx++
+		run.advance()
 	}
 	return 0
 }
@@ -449,12 +474,12 @@ func (m *machine) stepRun(run *epochRun) {
 	issued := int64(0)
 	syncBlocked := false
 	for issued < width {
-		if run.idx >= len(run.epoch.Events) {
+		if run.done() {
 			run.finished = true
 			run.finishCycle = max(m.cycle, run.lastComplete)
 			break
 		}
-		ev := &run.epoch.Events[run.idx]
+		ev := &run.ev
 		if t := m.operandsReady(run, ev); t > m.cycle {
 			// Only this run's own issue or a restart changes its
 			// scoreboard, so it stays blocked until t: a plain stall,
@@ -469,7 +494,7 @@ func (m *machine) stepRun(run *epochRun) {
 		}
 		lat := m.execLatency(run, ev)
 		m.completeEvent(run, ev, lat)
-		run.idx++
+		run.advance()
 		issued++
 		// A store may have just violated another run; violations are
 		// applied immediately and do not affect this run's issue.

@@ -35,6 +35,7 @@ func (m *machine) newRun(epoch *trace.Epoch, cpu int) *epochRun {
 		}
 	}
 	run.epoch = epoch
+	run.rewind()
 	run.cpu = cpu
 	run.consumedGen = -1
 	run.frames = append(run.frames, getFrameSB(0, ir.None))
@@ -55,7 +56,8 @@ func putRun(run *epochRun) {
 	clear(run.sigBuf)
 	run.epoch = nil
 	run.span = nil
-	run.idx, run.gen, run.cpu = 0, 0, 0
+	run.idx, run.di, run.gen, run.cpu = 0, 0, 0, 0
+	run.ev = trace.Event{}
 	run.slots = Slots{}
 	run.finished = false
 	run.finishCycle, run.lastComplete, run.stallUntil = 0, 0, 0

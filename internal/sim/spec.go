@@ -171,7 +171,7 @@ func (m *machine) restart(victim *epochRun) {
 		m.curRegion.Slots.Fail += victim.slots.Total()
 	}
 	victim.slots = Slots{}
-	victim.idx = 0
+	victim.rewind()
 	victim.gen++
 	victim.finished = false
 	victim.finishCycle = 0

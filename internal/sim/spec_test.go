@@ -64,11 +64,20 @@ func mkEvent(p *synthProg, op ir.Op, addr, val int64, regs ...ir.Reg) trace.Even
 	return evFor(in, addr, val)
 }
 
+// encode packs an event list into a trace stream.
+func encode(evs []trace.Event) trace.Events {
+	var e trace.Events
+	for _, ev := range evs {
+		e.Append(ev)
+	}
+	return e
+}
+
 // synthTrace builds a single region instance from per-epoch event lists.
 func synthTrace(p *synthProg, epochs ...[]trace.Event) *trace.ProgramTrace {
 	ri := &trace.RegionInstance{RegionID: 0}
 	for i, evs := range epochs {
-		ri.Epochs = append(ri.Epochs, &trace.Epoch{Index: i, Events: evs})
+		ri.Epochs = append(ri.Epochs, &trace.Epoch{Index: i, Events: encode(evs)})
 	}
 	return &trace.ProgramTrace{Segments: []trace.Segment{{Region: ri}}, Code: p.code()}
 }
@@ -274,12 +283,12 @@ func TestEmptyTrace(t *testing.T) {
 func TestSeqSegmentsBetweenRegions(t *testing.T) {
 	p := newSynthProg()
 	tr := &trace.ProgramTrace{Segments: []trace.Segment{
-		{Seq: filler(p, 40)},
+		{Seq: encode(filler(p, 40))},
 		{Region: &trace.RegionInstance{RegionID: 0, Epochs: []*trace.Epoch{
-			{Index: 0, Events: filler(p, 30)},
-			{Index: 1, Events: filler(p, 30)},
+			{Index: 0, Events: encode(filler(p, 30))},
+			{Index: 1, Events: encode(filler(p, 30))},
 		}}},
-		{Seq: filler(p, 40)},
+		{Seq: encode(filler(p, 40))},
 	}}
 	tr.Code = p.code()
 	r := Simulate(Input{Trace: tr, Policy: PolicyU()})

@@ -9,10 +9,11 @@ import (
 
 // TestEventAppendAllocBudget is the allocation-budget regression test
 // for the interpreter's hottest path: appending events to a pooled
-// buffer. Once a buffer of sufficient capacity is circulating in the
-// pool, a Get/append-many/Put cycle must not allocate at all — events
-// are pointer-free values and the backing array is recycled. If this
-// fails, either Event grew a pointer (breaking the no-zeroing contract
+// stream. Once a stream of sufficient capacity is circulating in the
+// pool, a Get/append-many/Put cycle must allocate nothing but the
+// pooled header — events are pointer-free values and both backing
+// arrays (ops and operands) are recycled together. If this fails,
+// either the encoding grew a pointer (breaking the no-zeroing contract
 // in PutEvents) or the pool stopped recycling; see docs/perf.md.
 func TestEventAppendAllocBudget(t *testing.T) {
 	if racedetect.Enabled {
@@ -23,7 +24,7 @@ func TestEventAppendAllocBudget(t *testing.T) {
 	// never need to grow it.
 	warm := GetEvents()
 	for i := 0; i < n; i++ {
-		warm = append(warm, Event{SI: int32(i)})
+		warm.Append(Event{SI: int32(i), Val: int64(i) + 1})
 	}
 	PutEvents(warm)
 
@@ -33,7 +34,7 @@ func TestEventAppendAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		evs := GetEvents()
 		for i := 0; i < n; i++ {
-			evs = append(evs, Event{SI: int32(i), Addr: int64(i), Val: int64(i)})
+			evs.Append(Event{SI: int32(i), Addr: int64(i), Val: int64(i)})
 		}
 		PutEvents(evs)
 	})
@@ -43,9 +44,10 @@ func TestEventAppendAllocBudget(t *testing.T) {
 }
 
 // TestEventStaysPointerFree pins the property the whole pooling design
-// rests on: trace.Event contains no pointers, so pooled buffers need no
-// zeroing and the GC never scans them. Growing Event with a pointer
-// field would silently reintroduce both costs.
+// rests on: trace.Event, Operand and the element types of an Events
+// stream contain no pointers, so pooled buffers need no zeroing and the
+// GC never scans them. Growing any of them with a pointer field would
+// silently reintroduce both costs.
 func TestEventStaysPointerFree(t *testing.T) {
 	var hasPtr func(reflect.Type) bool
 	hasPtr = func(ty reflect.Type) bool {
@@ -64,7 +66,14 @@ func TestEventStaysPointerFree(t *testing.T) {
 		}
 		return false
 	}
-	if hasPtr(reflect.TypeOf(Event{})) {
-		t.Fatal("trace.Event contains pointer fields: pooled buffers would pin memory and PutEvents would need a zeroing pass (see docs/perf.md)")
+	for _, ty := range []reflect.Type{
+		reflect.TypeOf(Event{}),
+		reflect.TypeOf(Operand{}),
+		reflect.TypeOf(Events{}.Ops).Elem(),
+		reflect.TypeOf(Events{}.Data).Elem(),
+	} {
+		if hasPtr(ty) {
+			t.Fatalf("%v contains pointer fields: pooled buffers would pin memory and PutEvents would need a zeroing pass (see docs/perf.md)", ty)
+		}
 	}
 }

@@ -8,15 +8,21 @@ import (
 
 func mkProgramTrace() *ProgramTrace {
 	p := ir.NewProgram()
-	ev := func() Event { return Event{SI: int32(p.NewInstr(ir.Const).ID)} }
-	seq := []Event{ev(), ev(), ev()}
-	e0 := &Epoch{Index: 0, Events: []Event{ev(), ev()}}
-	e1 := &Epoch{Index: 1, Events: []Event{ev(), ev(), ev(), ev()}}
+	evs := func(n int) Events {
+		var e Events
+		for i := 0; i < n; i++ {
+			e.Append(Event{SI: int32(p.NewInstr(ir.Const).ID)})
+		}
+		return e
+	}
+	seq := evs(3)
+	e0 := &Epoch{Index: 0, Events: evs(2)}
+	e1 := &Epoch{Index: 1, Events: evs(4)}
 	return &ProgramTrace{
 		Segments: []Segment{
 			{Seq: seq},
 			{Region: &RegionInstance{RegionID: 0, Epochs: []*Epoch{e0, e1}}},
-			{Seq: seq[:1]},
+			{Seq: Events{Ops: seq.Ops[:1]}},
 			{Region: &RegionInstance{RegionID: 1, Epochs: []*Epoch{e0}}},
 		},
 	}
