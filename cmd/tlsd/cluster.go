@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -319,7 +320,7 @@ func (s *server) clusterPending() []cluster.Job {
 	for _, p := range s.journal.Pending() {
 		rec := p.Record
 		w, ok := s.workload(rec.Bench)
-		if rec.Kind != "simulate" || !ok || !isPolicy(rec.Label) {
+		if rec.Kind != "simulate" || !ok || !slices.Contains(tlssync.PolicyLabels, rec.Label) {
 			continue
 		}
 		out = append(out, cluster.Job{
@@ -359,7 +360,7 @@ func (s *server) adoptJob(job cluster.Job, from string, epoch uint64) {
 		s.markAdopting(job.AKey, true)
 		defer s.markAdopting(job.AKey, false)
 		ctx := context.Background()
-		if _, ok := s.workload(job.Bench); !ok || !isPolicy(job.Label) {
+		if _, ok := s.workload(job.Bench); !ok || !slices.Contains(tlssync.PolicyLabels, job.Label) {
 			s.cfg.logf("tlsd: cluster: cannot adopt %s from %s: bench %q / policy %q not servable here",
 				job.Key, from, job.Bench, job.Label)
 			return

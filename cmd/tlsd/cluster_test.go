@@ -137,7 +137,7 @@ func pickOwned(t *testing.T, s *server, owner string, benches []string) (bench, 
 		if !ok {
 			t.Fatalf("bench %q not in serving set", b)
 		}
-		for _, p := range policyLabels {
+		for _, p := range tlssync.PolicyLabels {
 			k := tlssync.WorkloadArtifactKey("simulate", w, p)
 			if s.cluster.Ring().Owner(k) == owner {
 				return b, p, k

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -110,18 +111,6 @@ type server struct {
 	cluster     *cluster.Cluster
 	cstate      *clusterState
 	proxyClient *http.Client
-}
-
-// policyLabels are the named policies /simulate accepts.
-var policyLabels = []string{"U", "O", "T", "C", "E", "L", "H", "P", "B"}
-
-func isPolicy(label string) bool {
-	for _, l := range policyLabels {
-		if l == label {
-			return true
-		}
-	}
-	return false
 }
 
 // newServer builds the service. It does no compilation up front:
@@ -292,7 +281,7 @@ func (s *server) recoverFromJournal() {
 	for _, p := range s.journal.Pending() {
 		rec := p.Record
 		w, inSet := s.workload(rec.Bench)
-		if rec.Kind != "simulate" || !inSet || !isPolicy(rec.Label) {
+		if rec.Kind != "simulate" || !inSet || !slices.Contains(tlssync.PolicyLabels, rec.Label) {
 			// A journal from an older serving set or record shape is not
 			// recoverable work; commit it away rather than carrying it
 			// (and eventually poisoning a key nobody can ask for).
@@ -714,7 +703,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"serving":  serving,
 			"prepared": prepared,
 		},
-		"policies": policyLabels,
+		"policies": tlssync.PolicyLabels,
 		"verify": map[string]any{
 			"binaries": binaries,
 			"errors":   verrs,
@@ -916,8 +905,8 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, errNotFound("benchmark %q not in serving set", bench))
 		return
 	}
-	if !isPolicy(policy) {
-		s.writeError(w, errBadRequest("unknown policy %q (have %s)", policy, strings.Join(policyLabels, " ")))
+	if !slices.Contains(tlssync.PolicyLabels, policy) {
+		s.writeError(w, errBadRequest("unknown policy %q (have %s)", policy, strings.Join(tlssync.PolicyLabels, " ")))
 		return
 	}
 

@@ -80,7 +80,7 @@ func TestParseValidScenario(t *testing.T) {
 }
 
 // replace swaps one line fragment of the valid scenario.
-func replace(t *testing.T, old, new string) string {
+func replace(t testing.TB, old, new string) string {
 	t.Helper()
 	if !strings.Contains(validScenario, old) {
 		t.Fatalf("test bug: %q not in the valid scenario", old)
@@ -88,15 +88,18 @@ func replace(t *testing.T, old, new string) string {
 	return strings.Replace(validScenario, old, new, 1)
 }
 
-// TestValidateErrors is the DSL's error-message contract: every way a
-// scenario can be malformed fails `tlssim validate` with a message that
-// names the file and, for syntactic errors, the line.
-func TestValidateErrors(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want string // required substring of the error
-	}{
+// validateErrorCase is one malformed scenario and a required
+// substring of its error.
+type validateErrorCase struct {
+	name string
+	src  string
+	want string
+}
+
+// validateErrorCases are the malformed scenarios of TestValidateErrors,
+// shared with FuzzParse as seeds.
+func validateErrorCases(t testing.TB) []validateErrorCase {
+	return []validateErrorCase{
 		{
 			name: "unknown top-level key",
 			src:  validScenario + "bogus: 1\n",
@@ -110,7 +113,7 @@ func TestValidateErrors(t *testing.T) {
 		{
 			name: "unknown template key",
 			src:  replace(t, "      endpoint: stats", "      endpoitn: stats"),
-			want: `template: unknown key "endpoitn"`,
+			want: `fleet.templates[1]: unknown key "endpoitn"`,
 		},
 		{
 			name: "bad duration",
@@ -131,6 +134,11 @@ func TestValidateErrors(t *testing.T) {
 			name: "weights must sum to 1",
 			src:  replace(t, "weight: 0.75", "weight: 0.5"),
 			want: "weights sum to 0.75, want exactly 1",
+		},
+		{
+			name: "NaN weight",
+			src:  replace(t, "weight: 0.25", "weight: NaN"),
+			want: `bad number "NaN"`,
 		},
 		{
 			name: "zero weight",
@@ -240,7 +248,13 @@ fleet:
 			want: "positive duration",
 		},
 	}
-	for _, tc := range cases {
+}
+
+// TestValidateErrors is the DSL's error-message contract: every way a
+// scenario can be malformed fails `tlssim validate` with a message that
+// names the file and, for syntactic errors, the line.
+func TestValidateErrors(t *testing.T) {
+	for _, tc := range validateErrorCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Parse("bad.yaml", []byte(tc.src))
 			if err == nil {
@@ -266,17 +280,6 @@ func TestValidateErrorLines(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "pos.yaml:5") {
 		t.Errorf("error %q does not carry pos.yaml:5", err)
-	}
-}
-
-func TestSynthSeed(t *testing.T) {
-	if s, ok := SynthSeed("synth-42"); !ok || s != 42 {
-		t.Errorf("SynthSeed(synth-42) = %d, %v", s, ok)
-	}
-	for _, bad := range []string{"synth-", "synth-x", "gzip_comp", "synth"} {
-		if _, ok := SynthSeed(bad); ok {
-			t.Errorf("SynthSeed(%q) accepted", bad)
-		}
 	}
 }
 

@@ -58,16 +58,6 @@ func (n *node) kindName() string {
 	}
 }
 
-// get returns the value for key in a mapping, or nil.
-func (n *node) get(key string) *node {
-	for i, k := range n.keys {
-		if k == key {
-			return n.vals[i]
-		}
-	}
-	return nil
-}
-
 // parseError is a positional DSL error: file:line: message.
 type parseError struct {
 	file string

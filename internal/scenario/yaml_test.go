@@ -5,6 +5,16 @@ import (
 	"testing"
 )
 
+// get returns the value for key in a mapping, or nil.
+func (n *node) get(key string) *node {
+	for i, k := range n.keys {
+		if k == key {
+			return n.vals[i]
+		}
+	}
+	return nil
+}
+
 func mustParse(t *testing.T, src string) *node {
 	t.Helper()
 	n, err := parseYAML("test.yaml", []byte(src))

@@ -27,6 +27,7 @@ func TestSynthSeed(t *testing.T) {
 		{"synth-x", 0, false},
 		{"synth--3", 0, false},
 		{"gzip_comp", 0, false},
+		{"synth", 0, false},
 		{"", 0, false},
 	}
 	for _, tc := range cases {

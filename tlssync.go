@@ -244,6 +244,10 @@ func (r *Run) storeResult(label string, res *sim.Result) *sim.Result {
 	return res
 }
 
+// PolicyLabels are the named policies policyFor builds, in the order
+// tlsd's /simulate lists them.
+var PolicyLabels = []string{"U", "O", "T", "C", "E", "L", "H", "P", "B"}
+
 // policyFor builds the simulator policy for a label.
 func (r *Run) policyFor(label string) sim.Policy {
 	switch label {
