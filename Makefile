@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short race diff bench bench-smoke profile verify-fuzz chaos crash scenario-smoke cluster-smoke figs csv serve clean
+.PHONY: all build vet lint test test-short race diff bench bench-smoke profile verify-fuzz fuzz chaos crash scenario-smoke cluster-smoke figs csv serve clean
 
 all: build vet lint test race
 
@@ -51,6 +51,14 @@ diff:
 VERIFY_FUZZ_N ?= 200
 verify-fuzz:
 	VERIFY_FUZZ_N=$(VERIFY_FUZZ_N) $(GO) test -run TestProgenVerifyFuzz ./internal/verify/
+
+# Fuzz smoke: every native fuzz target for a fixed 10s each — the
+# compact trace encoding round-trip and the scenario parser (YAML,
+# decoder, validate). A failing input lands in the package's
+# testdata/fuzz/ directory; commit it as a seed with the fix.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzEventsRoundTrip$$' -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/scenario/
 
 # Fault-injection suite for the daemon: disk faults, panicking/slow
 # jobs, breaker trip/recovery, admission shed, graceful drain — all
