@@ -14,11 +14,14 @@ package tlssync
 import (
 	"flag"
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"tlssync/internal/racedetect"
 	"tlssync/internal/sim"
+	"tlssync/internal/workloads"
 )
 
 var printFigs = flag.Bool("printfigs", false, "print figure text during benchmarks")
@@ -310,11 +313,18 @@ func BenchmarkCompilePipeline(b *testing.B) {
 // cannot be optimized away.
 var simSink *sim.Result
 
+// simulatorSynthSeeds are the synthetic programs BenchmarkSimulator's
+// synth/U case simulates: small, cold programs of the shape tlsd's
+// explore traffic serves, where per-simulation state weighs more than
+// on the paper benchmarks.
+var simulatorSynthSeeds = []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+
 // BenchmarkSimulator measures raw simulation throughput (events/sec) on
 // both simulator loops: speculative regions (parser and gzip_comp under
 // U) and sequential segments (the serial sequential baseline on
 // parser's plain trace; sequential segments carry most of the events a
-// figure sweep simulates).
+// figure sweep simulates). synth/U simulates a fixed set of synthetic
+// programs under U, one simulation per program per iteration.
 func BenchmarkSimulator(b *testing.B) {
 	for _, c := range []struct {
 		name, bench string
@@ -323,30 +333,50 @@ func BenchmarkSimulator(b *testing.B) {
 		{"parser/U", "parser", false},
 		{"gzip_comp/U", "gzip_comp", false},
 		{"parser/seq", "parser", true},
+		{"synth/U", "", false},
 	} {
 		b.Run(c.name, func(b *testing.B) {
-			w, err := Benchmark(c.bench)
-			if err != nil {
-				b.Fatal(err)
+			ws := make([]*Workload, 0, len(simulatorSynthSeeds))
+			if c.bench == "" {
+				for _, seed := range simulatorSynthSeeds {
+					ws = append(ws, workloads.Synth(seed))
+				}
+			} else {
+				w, err := Benchmark(c.bench)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ws = append(ws, w)
 			}
-			run, err := NewRun(w)
-			if err != nil {
-				b.Fatal(err)
-			}
-			prog, simulate := run.Build.Base, sim.Simulate
+			simulate := sim.Simulate
 			if c.seq {
-				prog, simulate = run.Build.Plain, sim.SimulateSequentialRegions
+				simulate = sim.SimulateSequentialRegions
 			}
-			tr, err := run.Build.Trace(prog, w.Ref)
-			if err != nil {
-				b.Fatal(err)
+			var ins []sim.Input
+			events := 0
+			for _, w := range ws {
+				run, err := NewRun(w)
+				if err != nil {
+					b.Fatal(err)
+				}
+				prog := run.Build.Base
+				if c.seq {
+					prog = run.Build.Plain
+				}
+				tr, err := run.Build.Trace(prog, w.Ref)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ins = append(ins, sim.Input{Trace: tr, Policy: sim.PolicyU()})
+				events += tr.Events()
 			}
-			in := sim.Input{Trace: tr, Policy: sim.PolicyU()}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				simSink = simulate(in)
+				for _, in := range ins {
+					simSink = simulate(in)
+				}
 			}
-			b.ReportMetric(float64(tr.Events())*float64(b.N)/b.Elapsed().Seconds(), "events/s")
+			b.ReportMetric(float64(events)*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
 }
@@ -387,6 +417,54 @@ func TestSimulatePerEventAllocBudget(t *testing.T) {
 					name, label, perEvent, budget)
 			}
 		}
+	}
+}
+
+// TestSimulateBytesPerEventBudget is the simulator's byte budget on the
+// synthetic programs tlsd simulates cold. Their traces are short (tens
+// of thousands of events), so state allocated once per simulation
+// weighs here what it cannot on the paper benchmarks: a cache
+// hierarchy built fresh per simulation (590 KB on the paper's machine)
+// reads about 15 B/event. With the pools warm a simulation may
+// allocate only its machine, result and region bookkeeping. Each
+// simulation's bytes are the least of three runs, so a GC that empties
+// the pools mid-measurement does not count.
+func TestSimulateBytesPerEventBudget(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const budget = 2.5 // bytes per event
+	var bytes uint64
+	events := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		r, err := NewRun(workloads.Synth(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, label := range []string{"U", "C", "H", "B"} {
+			tr, err := r.traceFor(r.binaryFor(label))
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := sim.Input{Trace: tr, Policy: r.policyFor(label)}
+			sim.Simulate(in) // warm the pools
+			least := uint64(math.MaxUint64)
+			for i := 0; i < 3; i++ {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				sim.Simulate(in)
+				runtime.ReadMemStats(&m1)
+				least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+			}
+			bytes += least
+			events += tr.Events()
+		}
+	}
+	perEvent := float64(bytes) / float64(events)
+	t.Logf("%.2f B/event over %d events (%d bytes)", perEvent, events, bytes)
+	if perEvent > budget {
+		t.Errorf("simulating synthetic programs allocates %.2f B/event, budget %g: the simulator allocates per-simulation state that scales with the cache or the program (see docs/perf.md)",
+			perEvent, budget)
 	}
 }
 

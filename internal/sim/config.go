@@ -121,6 +121,3 @@ func (m MachineConfig) Table1() string {
 	row("Signal Address Buffer", fmt.Sprintf("%d entries", m.SignalAddrBufSize))
 	return sb.String()
 }
-
-// Line returns the cache-line index of an address.
-func (m MachineConfig) Line(addr int64) int64 { return addr / m.LineSize }
