@@ -117,47 +117,62 @@ func PolicyB() Policy { return Policy{Name: "B", HWSync: true} }
 // hwTable is the violation-history table: an LRU set of load PCs that
 // caused violations, with periodic reset (paper §4.2: "we periodically
 // reset the table ... to avoid over-synchronization of
-// infrequently-dependent loads").
+// infrequently-dependent loads"). Entries live in fixed arrays, found
+// through a dense pc -> slot index, so contains, which runs for every
+// load under H and B, reads two arrays and hashes nothing.
 type hwTable struct {
-	size   int
+	pcs  []int   // slot -> pc; slots [0, n) are occupied
+	when []int64 // slot -> last touch
+	n    int
+	// slot[pc] is pc's slot plus one (0: not tracked). It covers every
+	// load origin of the simulated code and is zero on construction.
+	slot   []int32
 	tick   int64
-	lru    map[int]int64 // pc -> last touch
-	resetN int           // committed epochs between resets
-	count  int           // committed epochs since last reset
+	resetN int // committed epochs between resets
+	count  int // committed epochs since last reset
 }
 
-func newHWTable(size, resetEpochs int) *hwTable {
-	return &hwTable{size: size, resetN: resetEpochs, lru: make(map[int]int64)}
+// newHWTable returns an empty table of size entries over the zeroed
+// pc index slot. A size below one still tracks the latest PC.
+func newHWTable(size, resetEpochs int, slot []int32) *hwTable {
+	size = max(size, 1)
+	return &hwTable{pcs: make([]int, size), when: make([]int64, size), slot: slot, resetN: resetEpochs}
 }
 
 // record inserts a violating load PC, evicting the LRU entry if full.
 func (t *hwTable) record(pc int) {
 	t.tick++
-	if _, ok := t.lru[pc]; ok {
-		t.lru[pc] = t.tick
+	if s := t.slot[pc]; s != 0 {
+		t.when[s-1] = t.tick
 		return
 	}
-	if len(t.lru) >= t.size {
-		victim, oldest := -1, int64(1)<<62
-		//lint:ignore D001 victim selection is totally ordered: ticks are unique per insert/refresh, and the (when, pc) tie-break keeps the minimum unique even if that ever changes
-		for p, when := range t.lru {
-			if when < oldest || (when == oldest && p < victim) {
-				victim, oldest = p, when
+	s := t.n
+	if s < len(t.pcs) {
+		t.n++
+	} else {
+		// Ticks are unique per insert and refresh, so the least recently
+		// touched entry is unique: the victim is a total order.
+		s = 0
+		for i := 1; i < t.n; i++ {
+			if t.when[i] < t.when[s] {
+				s = i
 			}
 		}
-		delete(t.lru, victim)
+		t.slot[t.pcs[s]] = 0
 	}
-	t.lru[pc] = t.tick
+	t.pcs[s], t.when[s] = pc, t.tick
+	t.slot[pc] = int32(s + 1)
 }
 
 // contains reports whether pc is tracked (and refreshes its LRU slot).
 func (t *hwTable) contains(pc int) bool {
-	if _, ok := t.lru[pc]; ok {
-		t.tick++
-		t.lru[pc] = t.tick
-		return true
+	s := t.slot[pc]
+	if s == 0 {
+		return false
 	}
-	return false
+	t.tick++
+	t.when[s-1] = t.tick
+	return true
 }
 
 // epochCommitted advances the periodic-reset clock.
@@ -165,7 +180,10 @@ func (t *hwTable) epochCommitted() {
 	t.count++
 	if t.resetN > 0 && t.count >= t.resetN {
 		t.count = 0
-		clear(t.lru)
+		for _, pc := range t.pcs[:t.n] {
+			t.slot[pc] = 0
+		}
+		t.n = 0
 	}
 }
 
