@@ -236,21 +236,6 @@ func (a *Analysis) apply(f *ir.Func, regs []locset, in *ir.Instr) bool {
 	return changed
 }
 
-// PointsTo returns the sorted locations register r of function fn may
-// point to.
-func (a *Analysis) PointsTo(fn string, r ir.Reg) []Loc {
-	regs, ok := a.regPts[fn]
-	if !ok || int(r) >= len(regs) {
-		return nil
-	}
-	out := make([]Loc, 0, len(regs[r]))
-	for l := range regs[r] {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // MayAlias reports whether two address registers may reference the same
 // abstract location.
 func (a *Analysis) MayAlias(fnA string, ra ir.Reg, fnB string, rb ir.Reg) bool {

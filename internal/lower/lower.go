@@ -43,16 +43,6 @@ func Lower(c *lang.Checked) (*ir.Program, error) {
 	return lw.prog, nil
 }
 
-// MustLower lowers a checked program, panicking on error. For tests and
-// embedded workloads.
-func MustLower(c *lang.Checked) *ir.Program {
-	p, err := Lower(c)
-	if err != nil {
-		panic(fmt.Sprintf("MustLower: %v", err))
-	}
-	return p
-}
-
 // loc is the storage location of a local variable or parameter.
 type loc struct {
 	inMem bool

@@ -145,15 +145,6 @@ func (rp *RegionProfile) FrequencyWin(k DepKey) float64 {
 	return float64(rp.Deps[k].WinEpochs) / float64(rp.Epochs)
 }
 
-// LoadFrequency returns the fraction of epochs in which the given load
-// reference depended on an earlier epoch.
-func (rp *RegionProfile) LoadFrequency(r Ref) float64 {
-	if rp.Epochs == 0 {
-		return 0
-	}
-	return float64(rp.LoadDepEpochs[r]) / float64(rp.Epochs)
-}
-
 // LoadsAboveThreshold returns the static instruction IDs of loads whose
 // inter-epoch dependence frequency exceeds thresh (0.05 = 5% of epochs).
 func (rp *RegionProfile) LoadsAboveThreshold(thresh float64) map[int]bool {

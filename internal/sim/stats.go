@@ -26,9 +26,6 @@ func (s *Slots) Add(o Slots) {
 	s.Other += o.Other
 }
 
-// AllFail converts every slot to fail (used when a run is squashed).
-func (s Slots) AllFail() Slots { return Slots{Fail: s.Total()} }
-
 // ViolBucket classifies a violating load for the Figure 11 analysis: by
 // which scheme(s) the load would have been synchronized.
 type ViolBucket int

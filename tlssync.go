@@ -27,7 +27,6 @@ import (
 	"tlssync/internal/core"
 	"tlssync/internal/memsync"
 	"tlssync/internal/parallel"
-	"tlssync/internal/regions"
 	"tlssync/internal/report"
 	"tlssync/internal/sim"
 	"tlssync/internal/store"
@@ -387,9 +386,6 @@ func (r *Run) Coverage() float64 {
 func (r *Run) CompilerMarks() map[int]bool {
 	return memsync.SyncedLoadOrigins(r.Build.Ref)
 }
-
-// AcceptedRegions returns how many regions selection accepted.
-func (r *Run) AcceptedRegions() int { return len(regions.Accepted(r.Build.Decisions)) }
 
 // ProgramSpeedupWithSeqSlowdown composes the program speedup as if code
 // outside the parallel regions ran slower by the given factor (e.g. 0.9 =
