@@ -88,3 +88,28 @@ func putFrameSB(f *frameSB) {
 	f.reset()
 	framePool.Put(f)
 }
+
+// The cache arrays of the paper's machine come to 590 KB, which a cold
+// simulation of a small program would otherwise allocate and zero for
+// a few thousand accesses. Hierarchies are recycled here, emptied when
+// they are put back; a pooled one is reused only for the identical
+// MachineConfig, and dropped otherwise.
+var hierPool sync.Pool
+
+// getHierarchy returns an empty hierarchy for cfg.
+func getHierarchy(cfg MachineConfig) *hierarchy {
+	if h, _ := hierPool.Get().(*hierarchy); h != nil && h.cfg == cfg {
+		return h
+	}
+	return newHierarchy(cfg)
+}
+
+// putHierarchy empties h and recycles it. The caller must not touch it
+// afterwards.
+func putHierarchy(h *hierarchy) {
+	for i := range h.l1 {
+		h.l1[i].reset()
+	}
+	h.l2.reset()
+	hierPool.Put(h)
+}
