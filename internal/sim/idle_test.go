@@ -18,6 +18,25 @@ func missChain(p *synthProg, n int, base int64) []trace.Event {
 	return out
 }
 
+// assertIterationBudget simulates tr under U. It checks that the run
+// took at least minCycles, so the trace really is bound by misses, and
+// that the simulation loop ran at most two iterations per event plus
+// 100.
+func assertIterationBudget(t *testing.T, tr *trace.ProgramTrace, minCycles int64) {
+	t.Helper()
+	m := newMachine(Input{Trace: tr, Policy: PolicyU()})
+	m.run()
+	events := int64(tr.Events())
+	if m.res.TotalCycles < minCycles {
+		t.Fatalf("%d cycles, want at least %d: the chains did not miss to memory", m.res.TotalCycles, minCycles)
+	}
+	budget := 2*events + 100
+	t.Logf("%d iterations for %d events over %d cycles", m.iters, events, m.res.TotalCycles)
+	if m.iters > budget {
+		t.Errorf("%d loop iterations for %d events, budget %d: the simulator steps idle cycles one at a time", m.iters, events, budget)
+	}
+}
+
 // TestIdleCycleIterationBudget pins idle-cycle skipping: simulation-loop
 // iterations must scale with events, not with cycles. The trace is all
 // memory stalls — a sequential chain of dependent misses, then a region
@@ -35,16 +54,24 @@ func TestIdleCycleIterationBudget(t *testing.T) {
 		{Region: ri},
 	}}
 	tr.Code = p.code()
+	assertIterationBudget(t, tr, int64(DefaultMachine().MemLat)*seqLoads)
+}
 
-	m := newMachine(Input{Trace: tr, Policy: PolicyU()})
-	m.run()
-	events := int64(tr.Events())
-	if m.res.TotalCycles < int64(m.cfg.MemLat)*seqLoads {
-		t.Fatalf("%d cycles: the chain did not miss to memory (MemLat %d)", m.res.TotalCycles, m.cfg.MemLat)
+// TestWaitIterationBudget is the same budget for runs blocked on a
+// wait: each epoch opens with a scalar wait that its producer signals
+// only after its own chain of misses, so the epochs run one after
+// another and every consumer waits through its producer's chain.
+func TestWaitIterationBudget(t *testing.T) {
+	p := newSynthProg()
+	const epochs, epochLoads = 8, 50
+	wait := p.NewInstr(ir.WaitScalar)
+	wait.Dst, wait.Imm = 3, 1
+	sig := p.NewInstr(ir.SignalScalar)
+	sig.A, sig.Imm = 1, 1 // sends the chain's last result
+	var evs [][]trace.Event
+	for i := 0; i < epochs; i++ {
+		e := append([]trace.Event{evFor(wait, 0, 0)}, missChain(p, epochLoads, 0x100000+int64(i)<<20)...)
+		evs = append(evs, append(e, evFor(sig, 0, 0)))
 	}
-	budget := 2*events + 100
-	t.Logf("%d iterations for %d events over %d cycles", m.iters, events, m.res.TotalCycles)
-	if m.iters > budget {
-		t.Errorf("%d loop iterations for %d events, budget %d: the simulator steps idle cycles one at a time", m.iters, events, budget)
-	}
+	assertIterationBudget(t, synthTrace(p, evs...), int64(DefaultMachine().MemLat)*epochs*epochLoads)
 }
