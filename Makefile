@@ -54,13 +54,15 @@ verify-fuzz:
 
 # Fuzz smoke: every native fuzz target for a fixed 10s each — the
 # compact trace encoding round-trip, the scenario parser (YAML,
-# decoder, validate) and the simulator's idle-cycle skipping against
-# plain cycle stepping on generated programs. A failing input lands in
+# decoder, validate), the simulator's address table against a map and
+# the simulator's idle-cycle skipping against plain cycle stepping on
+# generated programs. A failing input lands in
 # the package's testdata/fuzz/ directory; commit it as a seed with the
 # fix.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEventsRoundTrip$$' -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/scenario/
+	$(GO) test -run '^$$' -fuzz '^FuzzAddrTable$$' -fuzztime 10s ./internal/sim/
 	$(GO) test -run '^$$' -fuzz '^FuzzSimulateStepping$$' -fuzztime 10s .
 
 # Fault-injection suite for the daemon: disk faults, panicking/slow
