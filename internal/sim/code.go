@@ -140,6 +140,9 @@ type codeTable struct {
 	// name, numbered densely through boxOf.
 	boxes int
 	boxOf map[chanKey]int32
+	// regs is the size of a call frame's register window: one more
+	// than the largest register any instruction names.
+	regs int
 	// hwSlot is the violation table's pc -> slot index: one entry per
 	// origin up to the largest in the code, zeroed on every build (see
 	// hwTable).
@@ -157,12 +160,16 @@ func getCodeTable(code ir.Code, cfg MachineConfig) *codeTable {
 	t.spans.build(code)
 	t.inst, t.ch = t.inst[:0], t.ch[:0]
 	clear(t.boxOf)
-	origins := 0
+	origins, regs := 0, ir.Reg(0)
+	for _, u := range t.spans.uses {
+		regs = max(regs, u+1)
+	}
 	for si, in := range code {
 		rec, ref := inst{dst: int32(ir.None), lat: 1}, chanRef{box: -1}
 		if in != nil {
 			rec, ref.ch = newInst(in, t.spans.of(int32(si)), cfg), in.Imm
 			origins = max(origins, in.Origin+1)
+			regs = max(regs, in.Dst+1)
 			switch rec.kind {
 			case kWaitScalar, kSignalScalar:
 				ref.box = t.box(chanKey{in.Imm, true})
@@ -173,7 +180,7 @@ func getCodeTable(code ir.Code, cfg MachineConfig) *codeTable {
 		t.inst = append(t.inst, rec)
 		t.ch = append(t.ch, ref)
 	}
-	t.boxes = len(t.boxOf)
+	t.boxes, t.regs = len(t.boxOf), int(regs)
 	t.hwSlot = append(t.hwSlot[:0], make([]int32, origins)...)
 	return t
 }
