@@ -303,6 +303,37 @@ func TestSeqSegmentsBetweenRegions(t *testing.T) {
 	}
 }
 
+// TestSequentialRunTracksOnlyStoreWords: a sequential segment's run
+// after a region never commits and is never a victim, so it records
+// only the store words its private-hit test reads. A load the violation
+// table knows still touches the table, whose LRU tick picks H and B
+// victims.
+func TestSequentialRunTracksOnlyStoreWords(t *testing.T) {
+	p := newSynthProg()
+	ld := mkEvent(p, ir.Load, 0x20000, 5, 2, 0)
+	st := mkEvent(p, ir.Store, 0x30000, 1, ir.None, 0, 1)
+	m := newMachine(Input{Trace: &trace.ProgramTrace{Code: p.code()}, Policy: PolicyP()})
+	defer m.finish()
+	m.tracking = true
+	m.table.record(int(m.code.inst[ld.SI].origin))
+	run := m.newRun(&trace.Epoch{}, 0, 0)
+	run.seq = true
+	tick := m.table.tick
+	m.trackLoad(run, &ld, &m.code.inst[ld.SI])
+	m.trackStore(run, &st)
+	if run.loadLines.len() != 0 || run.storeLines.len() != 0 || len(run.trainings) != 0 || run.mispredicted {
+		t.Errorf("sequential run recorded %d load lines, %d store lines, %d trainings, mispredicted %v; want none",
+			run.loadLines.len(), run.storeLines.len(), len(run.trainings), run.mispredicted)
+	}
+	if !run.storeWords.has(st.Addr) {
+		t.Error("sequential run dropped its store word")
+	}
+	if m.table.tick == tick {
+		t.Error("the predicted load did not touch the violation table")
+	}
+	putRun(run)
+}
+
 // TestWholeWorkloadScalarWaitAccounting checks that scalar sync stalls
 // appear in the sync segment on a real compiled benchmark.
 func TestWholeWorkloadScalarWaitAccounting(t *testing.T) {
