@@ -382,8 +382,8 @@ func BenchmarkSimulator(b *testing.B) {
 }
 
 // TestSimulatePerEventAllocBudget is the simulator's allocation budget,
-// counted per trace event on real compiled workloads. With the run and
-// frame pools warm, a simulation may allocate only per-simulation state
+// counted per trace event on real compiled workloads. With the run pool
+// warm, a simulation may allocate only per-simulation state
 // (machine, result, use spans, region bookkeeping) and must allocate
 // nothing per event or per stalled cycle. A slice built per operand
 // check, or a map entry per register write, costs several allocations
