@@ -93,21 +93,27 @@ func (c *Cluster) reloadPeersFile() {
 // for the round to finish (the HTTP client timeout bounds the wait,
 // so a blackholed peer cannot stall the loop past it).
 func (c *Cluster) probeAll() {
+	// The URL is snapshotted with the peer: a peersfile reload, gossip
+	// fill or view apply rewrites p.url under c.mu mid-round.
+	type target struct {
+		p   *peer
+		url string
+	}
 	c.mu.Lock()
-	targets := make([]*peer, 0, len(c.peers))
+	targets := make([]target, 0, len(c.peers))
 	for _, p := range c.peers {
 		if p.url != "" {
-			targets = append(targets, p)
+			targets = append(targets, target{p, p.url})
 		}
 	}
 	c.mu.Unlock()
 	var wg sync.WaitGroup
-	for _, p := range targets {
+	for _, t := range targets {
 		wg.Add(1)
-		go func(p *peer) {
+		go func(t target) {
 			defer wg.Done()
-			c.probe(p)
-		}(p)
+			c.probe(t.p, t.url)
+		}(t)
 	}
 	wg.Wait()
 }
@@ -116,8 +122,8 @@ func (c *Cluster) probeAll() {
 // liveness, pending gossip, and any strictly newer member-set view
 // the peer has seen (how joins/decommissions reach nodes the direct
 // broadcast missed).
-func (c *Cluster) probe(p *peer) {
-	hb, err := c.fetchHeartbeat(p)
+func (c *Cluster) probe(p *peer, url string) {
+	hb, err := c.fetchHeartbeat(p.id, url)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
@@ -151,27 +157,27 @@ func (c *Cluster) probe(p *peer) {
 	}
 }
 
-func (c *Cluster) fetchHeartbeat(p *peer) (*Heartbeat, error) {
+func (c *Cluster) fetchHeartbeat(id, url string) (*Heartbeat, error) {
 	if err := c.fire(); err != nil {
 		return nil, err
 	}
-	resp, err := c.cfg.Client.Get(p.url + "/cluster/heartbeat")
+	resp, err := c.cfg.Client.Get(url + "/cluster/heartbeat")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
 		io.Copy(io.Discard, resp.Body)
-		return nil, fmt.Errorf("heartbeat %s: status %d", p.id, resp.StatusCode)
+		return nil, fmt.Errorf("heartbeat %s: status %d", id, resp.StatusCode)
 	}
 	var hb Heartbeat
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&hb); err != nil {
 		return nil, err
 	}
-	if hb.Node != p.id {
+	if hb.Node != id {
 		// Port reuse can hand us a different daemon — never fold a
 		// stranger's heartbeat into this peer's state.
-		return nil, fmt.Errorf("heartbeat %s: answered by %q", p.id, hb.Node)
+		return nil, fmt.Errorf("heartbeat %s: answered by %q", id, hb.Node)
 	}
 	return &hb, nil
 }
