@@ -183,7 +183,7 @@ func (f *fleet) totalExecutions(akey string) int64 {
 	var n int64
 	for _, s := range f.srvs {
 		if s != nil {
-			n += s.executionsSnapshot()[akey]
+			n += s.keys.executions()[akey]
 		}
 	}
 	return n
@@ -236,7 +236,7 @@ func TestClusterRoutesToOwner(t *testing.T) {
 	if string(body["cache"]) != `"peer"` {
 		t.Fatalf("cache = %s, want \"peer\"", body["cache"])
 	}
-	if got := f.srvs[1].executionsSnapshot()[akey]; got != 1 {
+	if got := f.srvs[1].keys.executions()[akey]; got != 1 {
 		t.Fatalf("owner n1 executions = %d, want 1", got)
 	}
 	if got := f.totalExecutions(akey); got != 1 {
@@ -370,7 +370,7 @@ func TestClusterAdoptionAndFence(t *testing.T) {
 	waitCluster(t, "fenced journal entry committed away", func() bool {
 		return len(s0.journal.Pending()) == 0
 	})
-	if got := s0.executionsSnapshot()[akey]; got != 0 {
+	if got := s0.keys.executions()[akey]; got != 0 {
 		t.Fatalf("rebooted n0 executed fenced job %d time(s), want 0", got)
 	}
 
@@ -411,7 +411,7 @@ func TestClusterReplication(t *testing.T) {
 		_, ok := replica.store.Get(akey)
 		return ok
 	})
-	if got := replica.executionsSnapshot()[akey]; got != 0 {
+	if got := replica.keys.executions()[akey]; got != 0 {
 		t.Fatalf("replica executed %d time(s), want 0 (push only)", got)
 	}
 	if got := f.totalExecutions(akey); got != 1 {

@@ -112,7 +112,7 @@ func TestClusterJoin(t *testing.T) {
 	if string(body["cache"]) != `"peer"` {
 		t.Fatalf("cache = %s, want \"peer\" (proxied to joiner)", body["cache"])
 	}
-	if got := s2.executionsSnapshot()[akey]; got != 1 {
+	if got := s2.keys.executions()[akey]; got != 1 {
 		t.Fatalf("joiner executions = %d, want 1", got)
 	}
 	if got := f.totalExecutions(akey); got != 1 {
@@ -207,8 +207,9 @@ func TestClusterDecommission(t *testing.T) {
 	}
 }
 
-// TestClusterInflight: the cross-node singleflight probe reflects the
-// computing/adopting state of a key.
+// TestClusterInflight: the cross-node singleflight probe answers from
+// the key table — queued and adopting counts for the default probe,
+// the running count alone for `exec=1` — and counts overlap.
 func TestClusterInflight(t *testing.T) {
 	s := fleetNode(t, "n0", []string{"n0", "n1"}, nil, "", []string{"synth-11"})
 	defer s.Close()
@@ -216,34 +217,47 @@ func TestClusterInflight(t *testing.T) {
 	w, _ := s.workload("synth-11")
 	akey := tlssync.WorkloadArtifactKey("simulate", w, "C")
 
-	probe := func() bool {
-		rec, body := get(t, s, "/cluster/inflight?key="+akey)
+	probe := func(query string) bool {
+		rec, body := get(t, s, "/cluster/inflight?key="+akey+query)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("/cluster/inflight = %d", rec.Code)
 		}
 		return string(body["computing"]) == "true"
 	}
-	if probe() {
-		t.Fatal("idle key reported in flight")
+	want := func(what string, inflight, running bool) {
+		t.Helper()
+		if got := probe(""); got != inflight {
+			t.Fatalf("%s: in flight = %v, want %v", what, got, inflight)
+		}
+		if got := probe("&exec=1"); got != running {
+			t.Fatalf("%s: exec=1 = %v, want %v", what, got, running)
+		}
 	}
-	s.markComputing(akey)
-	if !probe() {
-		t.Fatal("computing key not reported in flight")
+	want("idle key", false, false)
+	leaveQueued := s.keys.enter(akey, phaseQueued)
+	want("queued key", true, false)
+	leaveRunning := s.keys.enter(akey, phaseRunning)
+	want("running key", true, true)
+	leaveRunning()
+	want("execution done", true, false)
+	leaveOverlap := s.keys.enter(akey, phaseQueued) // overlapping waiter
+	leaveQueued()
+	want("refcount dropped early", true, false)
+	leaveOverlap()
+	want("finished key", false, false)
+
+	// Two overlapping adoptions: the first to finish must not clear the
+	// other's count.
+	leaveA := s.keys.enter(akey, phaseAdopting)
+	leaveB := s.keys.enter(akey, phaseAdopting)
+	want("adopting key", true, false)
+	leaveA()
+	want("overlapping adoption", true, false)
+	leaveB()
+	want("adoptions done", false, false)
+	if n := len(s.keys.m); n != 0 {
+		t.Errorf("key table holds %d entries after every count left, want 0", n)
 	}
-	s.markComputing(akey) // overlapping waiter
-	s.doneComputing(akey)
-	if !probe() {
-		t.Fatal("refcount dropped early")
-	}
-	s.doneComputing(akey)
-	if probe() {
-		t.Fatal("finished key still reported in flight")
-	}
-	s.markAdopting(akey, true)
-	if !probe() {
-		t.Fatal("adopting key not reported in flight")
-	}
-	s.markAdopting(akey, false)
 
 	rec, _ := get(t, s, "/cluster/inflight")
 	if rec.Code != http.StatusBadRequest {

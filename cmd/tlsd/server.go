@@ -96,21 +96,12 @@ type server struct {
 	mu   sync.Mutex
 	runs map[string]*tlssync.Run // prepared benchmarks
 
-	// simDone caches each landed simulate execution's result by engine
-	// key. The engine serializes executions per key while they are in
-	// flight, but a request that warm-missed the store before an
-	// execution landed can reach the engine after that execution
-	// finished and left the inflight map — the cache turns that into a
-	// hit instead of a second execution of work that already happened.
-	// Bounded by (serving set × policies); results are shared read-only
-	// exactly as coalesced engine waiters already share them.
-	simDoneMu sync.Mutex
-	simDone   map[string]*sim.Result
+	keys keyTable // per-artifact-key state: in flight, fenced, landed
 
-	// cluster-mode state (all nil when running single-node)
+	// cluster-mode state (nil/false when running single-node)
 	cluster     *cluster.Cluster
-	cstate      *clusterState
 	proxyClient *http.Client
+	leaving     atomic.Bool // decommission accepted; gossiped as "leaving"
 }
 
 // newServer builds the service. It does no compilation up front:
@@ -165,7 +156,7 @@ func newServer(cfg config) (*server, error) {
 		stop:      make(chan struct{}),
 		workloads: ws,
 		runs:      make(map[string]*tlssync.Run),
-		simDone:   make(map[string]*sim.Result),
+		keys:      keyTable{m: make(map[string]*keyState)},
 		eps:       make(map[string]*endpointStats),
 	}
 	// The cluster layer must exist before journal recovery runs: a
@@ -791,22 +782,15 @@ func (s *server) simulateSpec(ctx context.Context, run *tlssync.Run, bench, poli
 	}
 	akey := tlssync.WorkloadArtifactKey("simulate", run.W, policy)
 	s.journalBegin(journal.Record{Key: jkey, Kind: "simulate", Bench: bench, Label: policy})
-	// Visible to peers via GET /cluster/inflight while the execution is
-	// in flight: a node that became this key's owner mid-execution
-	// (membership change) joins this run by proxy instead of starting
-	// a second one.
-	s.markComputing(akey)
-	defer s.doneComputing(akey)
+	defer s.keys.enter(akey, phaseQueued)()
 	v, err := s.eng.Do(ctx, jkey, func(context.Context) (any, error) {
 		// A caller that warm-missed the store before this key's execution
 		// landed can reach the engine after it finished: serve the landed
 		// result instead of executing the same work a second time.
-		s.simDoneMu.Lock()
-		prev := s.simDone[jkey]
-		s.simDoneMu.Unlock()
-		if prev != nil {
+		k := s.keys.get(akey)
+		if k.landed != nil {
 			s.journalCommit(jkey)
-			return prev, nil
+			return k.landed, nil
 		}
 		if s.cluster != nil {
 			// Late guard: this job may have sat in the admission or engine
@@ -829,18 +813,16 @@ func (s *server) simulateSpec(ctx context.Context, run *tlssync.Run, bench, poli
 			// the other; without a tiebreak both would defer forever. The
 			// lower node ID wins (both sides compare the same two IDs, so
 			// they agree on the winner).
-			if adopter, away := s.adoptedAwayTo(akey); away &&
-				!(s.isAdopting(akey) && s.cluster.Self() < adopter) {
+			if k.adopter != "" && !(k.count[phaseAdopting] > 0 && s.cluster.Self() < k.adopter) {
 				s.journalCommit(jkey)
 				return nil, errComputingElsewhere
 			}
-			if s.chainExecuting(akey) {
+			if s.chainInflight(akey, true) {
 				s.journalCommit(jkey)
 				return nil, errComputingElsewhere
 			}
-			s.markExecuting(akey)
-			defer s.doneExecuting(akey)
 		}
+		defer s.keys.enter(akey, phaseRunning)()
 		res, serr := run.SimulateSpec(sp)
 		if serr == nil {
 			for stage, d := range run.ConsumeStageTimes() {
@@ -862,10 +844,13 @@ func (s *server) simulateSpec(ctx context.Context, run *tlssync.Run, bench, poli
 				s.cluster.ReplicateAsync(akey, data)
 			}
 		}
-		s.simDoneMu.Lock()
-		s.simDone[jkey] = res
-		s.simDoneMu.Unlock()
-		s.noteExecution(akey)
+		s.keys.land(akey, res)
+		if s.cluster != nil {
+			// A completed execution completes any adoption record for the
+			// same artifact — covers an adopted job finished via journal
+			// replay after the adopter itself was restarted.
+			s.cluster.MarkAdoptionDone(akey)
+		}
 		s.journalCommit(jkey)
 		return res, nil
 	})
