@@ -246,19 +246,6 @@ func Fig11(runs []*Run) (*Figure, error) {
 	return f, nil
 }
 
-// simulateOn forces a specific binary for a policy (used by Fig11).
-func (r *Run) simulateOn(binary, cacheLabel string, pol sim.Policy) (*sim.Result, error) {
-	if res, ok := r.cachedResult(cacheLabel); ok {
-		return res, nil
-	}
-	tr, err := r.traceFor(binary)
-	if err != nil {
-		return nil, err
-	}
-	res := sim.Simulate(sim.Input{Trace: tr, Policy: pol})
-	return r.storeResult(cacheLabel, res), nil
-}
-
 // Fig12 — whole-program speedups for U, C, H, B.
 func Fig12(runs []*Run) (*Figure, error) {
 	f := &Figure{ID: "12", Title: "Figure 12: whole-program speedup over sequential execution"}
@@ -338,14 +325,6 @@ type SimSpec struct {
 
 // Key returns the job-engine coalescing key for the spec.
 func (sp SimSpec) Key() string { return "simulate/" + sp.Run.W.Name + "/" + sp.Label }
-
-// SimulateSpec runs (and caches) one spec on its Run.
-func (r *Run) SimulateSpec(sp SimSpec) (*sim.Result, error) {
-	if sp.Binary != "" {
-		return r.simulateOn(sp.Binary, sp.Label, sp.Policy)
-	}
-	return r.SimulatePolicy(sp.Label, sp.Policy)
-}
 
 // LabelSpec returns the spec for a plain label-driven simulation
 // (policy and binary both derived from the label). Every submitter of a

@@ -280,18 +280,28 @@ func (r *Run) Simulate(label string) (*sim.Result, error) {
 
 // SimulatePolicy runs an explicit policy on the binary the label selects.
 func (r *Run) SimulatePolicy(label string, pol sim.Policy) (*sim.Result, error) {
-	if res, ok := r.cachedResult(label); ok {
+	return r.SimulateSpec(SimSpec{Run: r, Label: label, Policy: pol})
+}
+
+// SimulateSpec runs (and caches, by label) one spec on its Run, on
+// sp.Binary or, when that is empty, the binary the label selects.
+func (r *Run) SimulateSpec(sp SimSpec) (*sim.Result, error) {
+	if res, ok := r.cachedResult(sp.Label); ok {
 		return res, nil
 	}
-	tr, err := r.traceFor(r.binaryFor(label))
+	binary := sp.Binary
+	if binary == "" {
+		binary = r.binaryFor(sp.Label)
+	}
+	tr, err := r.traceFor(binary)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now() //lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
-	res := sim.Simulate(sim.Input{Trace: tr, Policy: pol})
+	res := sim.Simulate(sim.Input{Trace: tr, Policy: sp.Policy})
 	//lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
 	r.noteStage("sim", time.Since(start))
-	return r.storeResult(label, res), nil
+	return r.storeResult(sp.Label, res), nil
 }
 
 // artifactKey hashes an artifact's full identity: kind tag, compiler
@@ -385,21 +395,6 @@ func (r *Run) Coverage() float64 {
 // synchronized in the ref-profiled binary.
 func (r *Run) CompilerMarks() map[int]bool {
 	return memsync.SyncedLoadOrigins(r.Build.Ref)
-}
-
-// ProgramSpeedupWithSeqSlowdown composes the program speedup as if code
-// outside the parallel regions ran slower by the given factor (e.g. 0.9 =
-// 10% slower). The paper's Table 2 reports sequential-region slowdowns of
-// 0.8–1.0 caused by its source-to-source infrastructure inhibiting the
-// gcc backend; this helper lets Table 2 be compared under the same
-// artifact, which our pipeline otherwise does not have (our sequential
-// code is untouched by the transformations).
-func (r *Run) ProgramSpeedupWithSeqSlowdown(res *sim.Result, factor float64) float64 {
-	if factor <= 0 {
-		factor = 1
-	}
-	par := float64(res.SeqCycles)/factor + float64(res.RegionCycles())
-	return float64(r.SeqProgram) / par
 }
 
 // SimulateTimeline re-runs the named policy with epoch-lifetime spans

@@ -240,8 +240,8 @@ func TestReproFig11Complementary(t *testing.T) {
 	// violations under the U (no stall) mode.
 	compOnly, hwOnly := false, false
 	for _, r := range runs {
-		res, err := r.simulateOn("base", "fig11-U",
-			sim.Policy{Name: "U", CompilerMarks: r.CompilerMarks()})
+		res, err := r.SimulateSpec(SimSpec{Run: r, Label: "fig11-U", Binary: "base",
+			Policy: sim.Policy{Name: "U", CompilerMarks: r.CompilerMarks()}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,26 +374,25 @@ func TestSeedStability(t *testing.T) {
 	}
 }
 
-// TestSeqSlowdownHelper pins the artifact-composition arithmetic.
-func TestSeqSlowdownHelper(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full reproduction run")
-	}
-	r := runOf(t, "crafty")
-	res, err := r.Simulate("U")
+// TestSimulateSpecNotesSimStage: every spec, including Figure 11's
+// forced-binary ones, books its simulation time to the "sim" stage
+// that tlsd reports under /stats jobs.stages.
+func TestSimulateSpecNotesSimStage(t *testing.T) {
+	w, err := Benchmark("synth-3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain := r.ProgramSpeedup(res)
-	slowed := r.ProgramSpeedupWithSeqSlowdown(res, 0.8)
-	if slowed >= plain {
-		t.Errorf("slowdown artifact should reduce program speedup: %.3f vs %.3f", slowed, plain)
+	run, err := NewRun(w)
+	if err != nil {
+		t.Fatal(err)
 	}
-	same := r.ProgramSpeedupWithSeqSlowdown(res, 1.0)
-	if same < plain*0.999 || same > plain*1.001 {
-		t.Errorf("factor 1.0 should be identity: %.3f vs %.3f", same, plain)
-	}
-	if got := r.ProgramSpeedupWithSeqSlowdown(res, 0); got < plain*0.999 {
-		t.Errorf("factor 0 should clamp to identity, got %.3f", got)
+	run.ConsumeStageTimes()
+	for _, sp := range fig11Specs(run) {
+		if _, err := run.SimulateSpec(sp); err != nil {
+			t.Fatal(err)
+		}
+		if d := run.ConsumeStageTimes()["sim"]; d <= 0 {
+			t.Errorf("%s: sim stage = %v, want > 0", sp.Label, d)
+		}
 	}
 }
