@@ -404,7 +404,7 @@ func TestSimulatePerEventAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, label := range []string{"U", "C", "H", "B", "P"} {
-			tr, err := run.traceFor(run.binaryFor(label))
+			tr, _, err := run.traceFor(run.binaryFor(label))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -442,7 +442,7 @@ func TestSimulateBytesPerEventBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, label := range []string{"U", "C", "H", "B"} {
-			tr, err := r.traceFor(r.binaryFor(label))
+			tr, _, err := r.traceFor(r.binaryFor(label))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,6 +25,7 @@ func missChain(p *synthProg, n int, base int64) []trace.Event {
 func assertIterationBudget(t *testing.T, tr *trace.ProgramTrace, minCycles int64) {
 	t.Helper()
 	m := newMachine(Input{Trace: tr, Policy: PolicyU()})
+	m.runPrefix()
 	m.run()
 	events := int64(tr.Events())
 	if m.res.TotalCycles < minCycles {

@@ -44,7 +44,7 @@ func TestRetainedTraceBytesPerEvent(t *testing.T) {
 		}
 		bytes, events := 0, 0
 		for _, bin := range []string{"base", "train", "ref"} {
-			tr, err := r.traceFor(bin)
+			tr, _, err := r.traceFor(bin)
 			if err != nil {
 				t.Fatal(err)
 			}

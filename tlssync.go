@@ -89,11 +89,13 @@ type Run struct {
 	stages map[string]time.Duration // accumulated wall-clock per pipeline stage
 }
 
-// traceCell computes one binary's trace exactly once even when several
-// policies race to request it.
+// traceCell computes one binary's trace, and the Warmup of its leading
+// sequential segments that every policy shares, exactly once even when
+// several policies race to request it.
 type traceCell struct {
 	once sync.Once
 	tr   *trace.ProgramTrace
+	warm *sim.Warmup
 	err  error
 }
 
@@ -158,7 +160,7 @@ func NewRunWithWorkers(w *Workload, workers int) (*Run, error) {
 		binaries := []string{"base", "train", "ref"}
 		if err := parallel.Map(context.Background(), workers, len(binaries),
 			func(_ context.Context, i int) error {
-				_, err := r.traceFor(binaries[i])
+				_, _, err := r.traceFor(binaries[i])
 				return err
 			}); err != nil {
 			return nil, fmt.Errorf("%s: %w", w.Name, err)
@@ -197,7 +199,9 @@ func (r *Run) binaryFor(label string) string {
 	}
 }
 
-func (r *Run) traceFor(binary string) (*trace.ProgramTrace, error) {
+// traceFor returns binary's trace and its Warmup on the default
+// machine.
+func (r *Run) traceFor(binary string) (*trace.ProgramTrace, *sim.Warmup, error) {
 	r.mu.Lock()
 	c, ok := r.traces[binary]
 	if !ok {
@@ -215,12 +219,17 @@ func (r *Run) traceFor(binary string) (*trace.ProgramTrace, error) {
 		}
 		start := time.Now() //lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
 		c.tr, c.err = r.Build.Trace(p, r.W.Ref)
-		if c.err == nil {
-			//lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
-			r.noteStage("trace", time.Since(start))
+		if c.err != nil {
+			return
 		}
+		//lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
+		r.noteStage("trace", time.Since(start))
+		start = time.Now() //lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
+		c.warm = sim.NewWarmup(c.tr, sim.DefaultMachine())
+		//lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
+		r.noteStage("sim", time.Since(start))
 	})
-	return c.tr, c.err
+	return c.tr, c.warm, c.err
 }
 
 // cachedResult returns the memoized result for a label, if any.
@@ -293,12 +302,12 @@ func (r *Run) SimulateSpec(sp SimSpec) (*sim.Result, error) {
 	if binary == "" {
 		binary = r.binaryFor(sp.Label)
 	}
-	tr, err := r.traceFor(binary)
+	tr, warm, err := r.traceFor(binary)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now() //lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
-	res := sim.Simulate(sim.Input{Trace: tr, Policy: sp.Policy})
+	res := sim.Simulate(sim.Input{Trace: tr, Warmup: warm, Policy: sp.Policy})
 	//lint:ignore D001 stage timing feeds /stats observability, never artifact bytes
 	r.noteStage("sim", time.Since(start))
 	return r.storeResult(sp.Label, res), nil
@@ -400,9 +409,9 @@ func (r *Run) CompilerMarks() map[int]bool {
 // SimulateTimeline re-runs the named policy with epoch-lifetime spans
 // collected (uncached: timelines are for interactive inspection).
 func (r *Run) SimulateTimeline(label string) (*sim.Result, error) {
-	tr, err := r.traceFor(r.binaryFor(label))
+	tr, warm, err := r.traceFor(r.binaryFor(label))
 	if err != nil {
 		return nil, err
 	}
-	return sim.Simulate(sim.Input{Trace: tr, Policy: r.policyFor(label), CollectTimeline: true}), nil
+	return sim.Simulate(sim.Input{Trace: tr, Warmup: warm, Policy: r.policyFor(label), CollectTimeline: true}), nil
 }
