@@ -52,7 +52,7 @@ func putRun(run *epochRun) {
 	run.span = nil
 	run.idx, run.di, run.gen, run.cpu = 0, 0, 0, 0
 	run.seq = false
-	run.ev = trace.Event{}
+	run.si = 0
 	run.slots = Slots{}
 	run.finished = false
 	run.finishCycle, run.lastComplete, run.stallUntil = 0, 0, 0

@@ -9,22 +9,22 @@ import (
 // Dependence tracking (line granularity, word-granular private hits)
 
 // trackLoad records an exposed load for violation detection.
-func (m *machine) trackLoad(run *epochRun, ev *trace.Event, in *inst) {
+func (m *machine) trackLoad(run *epochRun, op *trace.Operand, in *inst) {
 	if !m.tracking {
 		return // sequential segment before any region: no speculation
 	}
-	if ir.IsStackAddr(ev.Addr) {
+	if ir.IsStackAddr(op.Addr) {
 		return // per-CPU stacks are private to an epoch
 	}
-	if in.kind == kLoadSync && ev.Flags&trace.FlagUFF != 0 {
+	if in.kind == kLoadSync && op.Flags&trace.FlagUFF != 0 {
 		// Forwarding-usefulness bookkeeping for the FilterSync extension
 		// (counted per issue, matching the wait counting).
-		m.filter.noteUseful(m.code.ch[ev.SI].ch)
+		m.filter.noteUseful(m.code.ch[run.si].ch)
 	}
-	if m.immuneLoad(run, ev, in) {
+	if m.immuneLoad(run, in) {
 		return
 	}
-	if run.storeWords.has(ev.Addr) {
+	if run.storeWords.has(op.Addr) {
 		return // private hit: forwarded from this epoch's own store
 	}
 	// Value prediction: a predicted load consumes the predicted value
@@ -44,10 +44,10 @@ func (m *machine) trackLoad(run *epochRun, ev *trace.Event, in *inst) {
 		// Trainings are collected even during a post-misprediction replay
 		// (predictBan) so the predictor learns the committed value and
 		// loses confidence in changed ones; only prediction USE is banned.
-		run.trainings = append(run.trainings, pcVal{pc: pc, v: ev.Val})
+		run.trainings = append(run.trainings, pcVal{pc: pc, v: op.Val})
 		if !run.predictBan {
 			if v, ok := m.pred.predict(pc, run.epoch.Index); ok {
-				if v != ev.Val {
+				if v != op.Val {
 					run.mispredicted = true
 					run.mispredictPCs = append(run.mispredictPCs, pc)
 				}
@@ -55,23 +55,23 @@ func (m *machine) trackLoad(run *epochRun, ev *trace.Event, in *inst) {
 			}
 		}
 	}
-	run.loadLines.add(m.hier.line(ev.Addr), loadMark{cycle: m.cycle, pc: pc})
+	run.loadLines.add(m.hier.line(op.Addr), loadMark{cycle: m.cycle, pc: pc})
 }
 
 // trackStore records the store and applies the eager violation rule: any
 // active later epoch that already exposed-loaded this line is squashed
 // (the invalidation arrives while the line's speculatively-loaded bit is
 // set).
-func (m *machine) trackStore(run *epochRun, ev *trace.Event) {
+func (m *machine) trackStore(run *epochRun, addr int64) {
 	if !m.tracking {
 		return // sequential segment before any region: no speculation
 	}
-	if ir.IsStackAddr(ev.Addr) {
+	if ir.IsStackAddr(addr) {
 		return
 	}
 	e := run.epoch.Index
-	line := m.hier.line(ev.Addr)
-	run.storeWords.add(ev.Addr, struct{}{})
+	line := m.hier.line(addr)
+	run.storeWords.add(addr, struct{}{})
 	if !run.seq {
 		// Only staleRead reads store lines, at a commit, and a
 		// sequential run never commits; its store words still decide
@@ -81,8 +81,8 @@ func (m *machine) trackStore(run *epochRun, ev *trace.Event) {
 	// Signal address buffer: a later store in the producer epoch to an
 	// already-forwarded address means the wrong value was forwarded; the
 	// producer notices and restarts the consumer (§2.2).
-	if _, hit := run.sigBuf[ev.Addr]; hit {
-		delete(run.sigBuf, ev.Addr)
+	if _, hit := run.sigBuf[addr]; hit {
+		delete(run.sigBuf, addr)
 		if cons := m.runOf(e + 1); cons != nil {
 			m.res.Violations++
 			m.res.ViolByKind["sigbuf"]++
@@ -105,20 +105,20 @@ func (m *machine) trackStore(run *epochRun, ev *trace.Event) {
 // ---------------------------------------------------------------------------
 // Signaling
 
-func (m *machine) signal(run *epochRun, ev *trace.Event, scalar bool) {
+func (m *machine) signal(run *epochRun, scalar bool) {
 	if !m.tracking {
 		// Sequential segment (a region preheader signaling initial
 		// values): epoch 0 is the oldest at region start, so its waits
 		// complete immediately — nothing to deliver.
 		return
 	}
-	ref := m.code.ch[ev.SI]
+	ref := m.code.ch[run.si]
 	ch := ref.ch
 	*m.mailbox(run.epoch.Index+1, ref.box) = mailEntry{ready: m.cycle + int64(m.cfg.CommLat), gen: run.gen, sent: true}
 	if !scalar {
 		run.signaled[ch] = true
-		if !ir.IsStackAddr(ev.Addr) && ev.Addr != 0 {
-			run.sigBuf[ev.Addr] = ch
+		if addr := run.operand().Addr; !ir.IsStackAddr(addr) && addr != 0 {
+			run.sigBuf[addr] = ch
 			if len(run.sigBuf) > run.sigBufPeak {
 				run.sigBufPeak = len(run.sigBuf)
 			}
@@ -126,11 +126,11 @@ func (m *machine) signal(run *epochRun, ev *trace.Event, scalar bool) {
 	}
 }
 
-func (m *machine) signalNull(run *epochRun, ev *trace.Event) {
+func (m *machine) signalNull(run *epochRun) {
 	if !m.tracking {
 		return
 	}
-	ref := m.code.ch[ev.SI]
+	ref := m.code.ch[run.si]
 	if run.signaled[ref.ch] {
 		return // conditional NULL: a signal was already sent this epoch
 	}

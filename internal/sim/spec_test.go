@@ -319,8 +319,8 @@ func TestSequentialRunTracksOnlyStoreWords(t *testing.T) {
 	run := m.newRun(&trace.Epoch{}, 0, 0)
 	run.seq = true
 	tick := m.table.tick
-	m.trackLoad(run, &ld, &m.code.inst[ld.SI])
-	m.trackStore(run, &st)
+	m.trackLoad(run, &trace.Operand{Addr: ld.Addr, Val: ld.Val}, &m.code.inst[ld.SI])
+	m.trackStore(run, st.Addr)
 	if run.loadLines.len() != 0 || run.storeLines.len() != 0 || len(run.trainings) != 0 || run.mispredicted {
 		t.Errorf("sequential run recorded %d load lines, %d store lines, %d trainings, mispredicted %v; want none",
 			run.loadLines.len(), run.storeLines.len(), len(run.trainings), run.mispredicted)
