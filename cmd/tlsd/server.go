@@ -404,9 +404,7 @@ func (s *server) run(ctx context.Context, name string) (*tlssync.Run, error) {
 		if err != nil {
 			return nil, err
 		}
-		for stage, d := range r.ConsumeStageTimes() {
-			s.eng.ObserveStage(stage, d)
-		}
+		s.observeStages(r)
 		// Cache inside the job, not in the caller: when every waiter
 		// has timed out, the compile finishes detached and must still
 		// land in s.runs — otherwise retries resubmit the compile
@@ -825,9 +823,7 @@ func (s *server) simulateSpec(ctx context.Context, run *tlssync.Run, bench, poli
 		defer s.keys.enter(akey, phaseRunning)()
 		res, serr := run.SimulateSpec(sp)
 		if serr == nil {
-			for stage, d := range run.ConsumeStageTimes() {
-				s.eng.ObserveStage(stage, d)
-			}
+			s.observeStages(run)
 		}
 		if serr != nil {
 			// A clean failure is not crash-recovery work: retire the
@@ -993,7 +989,9 @@ func (s *server) figure(w http.ResponseWriter, r *http.Request, id string) {
 	// Fan the figure's simulations out at (benchmark × policy)
 	// granularity; concurrent requests for the same figure coalesce
 	// per pair on the engine.
-	if err := tlssync.Prewarm(r.Context(), s.eng, runs, []string{id}, nil); err != nil {
+	err = tlssync.Prewarm(r.Context(), s.eng, runs, []string{id}, nil)
+	s.observeStages(runs...)
+	if err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -1016,6 +1014,16 @@ func (s *server) figure(w http.ResponseWriter, r *http.Request, id string) {
 	s.cfg.logf("tlsd: computed figure %s over %d benchmarks", id, len(s.workloads))
 	state := setCache(w, false)
 	s.writeJSON(w, http.StatusOK, map[string]any{"cache": state, "figure": json.RawMessage(data)})
+}
+
+// observeStages feeds the stage times the runs accumulated since their
+// last drain into the engine's /stats counters.
+func (s *server) observeStages(runs ...*tlssync.Run) {
+	for _, r := range runs {
+		for stage, d := range r.ConsumeStageTimes() {
+			s.eng.ObserveStage(stage, d)
+		}
+	}
 }
 
 func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {

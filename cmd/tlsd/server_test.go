@@ -319,6 +319,33 @@ func TestStatsStages(t *testing.T) {
 	}
 }
 
+// TestFigureStatsStages: the simulations a figure request runs book
+// their time under jobs.stages.sim by the time it answers, not only
+// when a later /simulate drains the Run's stage times.
+func TestFigureStatsStages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and simulates")
+	}
+	s := testServer(t, "synth-3")
+	if rec, _ := get(t, s, "/figures/11"); rec.Code != http.StatusOK {
+		t.Fatalf("/figures/11: status = %d: %s", rec.Code, rec.Body.String())
+	}
+	_, body := get(t, s, "/stats")
+	var jobsStats struct {
+		Stages map[string]struct {
+			Runs int64 `json:"runs"`
+		} `json:"stages"`
+	}
+	if err := json.Unmarshal(body["jobs"], &jobsStats); err != nil {
+		t.Fatal(err)
+	}
+	// One run is the prepare's sequential baseline; the figure's own
+	// simulations must add another.
+	if got := jobsStats.Stages["sim"].Runs; got < 2 {
+		t.Errorf("jobs.stages.sim has %d runs after /figures/11, want at least 2 (prepare and figure)", got)
+	}
+}
+
 // TestDiskWarmRestart: with a cache dir, a fresh server over the same
 // dir serves a previously computed simulation from disk without
 // compiling anything.
