@@ -31,11 +31,12 @@ test-short:
 
 # Concurrency-sensitive packages under the race detector: the job
 # engine, the artifact store, the concurrent (benchmark × policy)
-# fan-out over a shared Run, and tlsd's in-process cluster fleets with
-# the late guards of its simulate path.
+# fan-out over a shared Run and its shared simulator warm-up, and
+# tlsd's in-process cluster fleets with the late guards of its simulate
+# path.
 race:
 	$(GO) test -race ./internal/jobs/ ./internal/store/ ./internal/fault/ ./internal/resilience/ ./internal/parallel/ ./internal/scenario/ ./internal/cluster/
-	$(GO) test -race -run 'TestConcurrentSimulate|TestPrewarmMatchesSequential|TestConcurrentBuildsShareNoPooledObjects' .
+	$(GO) test -race -run 'TestConcurrentSimulate|TestPrewarmMatchesSequential|TestConcurrentBuildsShareNoPooledObjects|TestWarmupSharedAcrossGoroutines' .
 	$(GO) test -race -run 'TestCluster|TestSimulateSpecGuards|TestKeyTableConcurrent' ./cmd/tlsd/
 
 # Differential determinism suites under the race detector: the parallel

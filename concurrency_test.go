@@ -140,3 +140,46 @@ func TestSpecsForCoverAllExperiments(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmupSharedAcrossGoroutines: eight goroutines simulate one trace
+// under eight policies, all restoring the same sim.Warmup, and each
+// result must be byte-identical to simulating that policy without it.
+// Run under -race (the Makefile race target) this verifies a Warmup is
+// read-only once built.
+func TestWarmupSharedAcrossGoroutines(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles and simulates a benchmark")
+	}
+	w, err := Benchmark("gzip_comp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRun(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, warm, err := r.traceFor("base")
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := PolicyLabels[:8]
+	cold := make([]string, len(labels))
+	for i, l := range labels {
+		cold[i] = string(mustJSON(t, sim.Simulate(sim.Input{Trace: tr, Policy: r.policyFor(l)})))
+	}
+	warmed := make([]*sim.Result, len(labels))
+	var wg sync.WaitGroup
+	for i, l := range labels {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			warmed[i] = sim.Simulate(sim.Input{Trace: tr, Warmup: warm, Policy: r.policyFor(l)})
+		}()
+	}
+	wg.Wait()
+	for i, l := range labels {
+		if got := string(mustJSON(t, warmed[i])); got != cold[i] {
+			t.Errorf("%s: the shared warm-up changed the result\nwarm: %s\ncold: %s", l, got, cold[i])
+		}
+	}
+}
